@@ -20,6 +20,7 @@ surrogate right edge, which only shortens messages.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import cast
 
 import numpy as np
 
@@ -39,20 +40,30 @@ def _check_values(machine: SpatialMachine, values: np.ndarray) -> np.ndarray:
     return values.copy()
 
 
-def _upsweep(machine: SpatialMachine, acc: np.ndarray, op: Op) -> None:
-    """Fold block sums to surrogate right edges; leaves left-half sums intact."""
-    n = machine.n
+def _tree_levels(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The doubling tree's levels over ``n`` processors, leaves first.
+
+    Level ``k`` pairs the right edge of every full left half of size
+    ``2^k`` (``left``) with its block's surrogate right edge (``right``).
+    The up-sweep sends ``left -> right`` level by level; the down-sweeps
+    walk the levels in reverse. Each level is EREW: its lefts are distinct,
+    its rights are distinct, and no processor is both.
+    """
+    levels: list[tuple[np.ndarray, np.ndarray]] = []
     half = 1
     while half < n:
         b = 2 * half
         starts = np.arange(0, n - half, b, dtype=np.int64)
-        if len(starts) == 0:
-            break
-        src = starts + half - 1          # right edge of the (full) left half
-        dst = np.minimum(starts + b - 1, n - 1)  # surrogate right edge
-        machine.send_batch(src, dst, acc[src])
-        acc[dst] = op(acc[src], acc[dst])
+        levels.append((starts + half - 1, np.minimum(starts + b - 1, n - 1)))
         half = b
+    return levels
+
+
+def _upsweep(machine: SpatialMachine, acc: np.ndarray, op: Op) -> None:
+    """Fold block sums to surrogate right edges; leaves left-half sums intact."""
+    for left, right in _tree_levels(machine.n):
+        machine.send_batch(left, right, acc[left])
+        acc[right] = op(acc[left], acc[right])
 
 
 def reduce(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.add, root: int = 0) -> np.generic:
@@ -86,17 +97,8 @@ def broadcast(machine: SpatialMachine, value: int | np.generic, *, root: int = 0
     # value to the right edge of its block's left half. Level k moves
     # n / 2^k messages of curve gap <= 2^k, i.e. O(sqrt(2^k)) grid distance,
     # so the level energies form a geometric O(n) series.
-    half = 1
-    while half * 2 < n:
-        half *= 2
-    while half >= 1:
-        b = 2 * half
-        starts = np.arange(0, n - half, b, dtype=np.int64)
-        if len(starts):
-            left = starts + half - 1
-            right = np.minimum(starts + b - 1, n - 1)
-            machine.send_batch(right, left, out[right])
-        half //= 2
+    for left, right in reversed(_tree_levels(n)):
+        machine.send_batch(right, left, out[right])
     return out
 
 
@@ -125,29 +127,20 @@ def exclusive_scan(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.a
     # downsweep: replace the total with the identity, then push exclusive
     # prefixes down; left-half sums were preserved at left edges.
     acc[n - 1] = identity
-    half = 1
-    while half * 2 < n:
-        half *= 2
-    while half >= 1:
-        b = 2 * half
-        starts = np.arange(0, n - half, b, dtype=np.int64)
-        if len(starts):
-            left = starts + half - 1
-            right = np.minimum(starts + b - 1, n - 1)
-            # swap-and-combine: left gets the block prefix, right gets
-            # block-prefix ⊕ left-half-sum (two dependency rounds, batched)
-            k = len(starts)
-            machine.send_batch(
-                np.concatenate([right, left]),
-                np.concatenate([left, right]),
-                np.concatenate([acc[right], acc[left]]),
-                rounds=np.array([0, k, 2 * k]),
-            )
-            block_prefix = acc[right].copy()
-            left_sum = acc[left].copy()
-            acc[left] = block_prefix
-            acc[right] = op(block_prefix, left_sum)
-        half //= 2
+    for left, right in reversed(_tree_levels(n)):
+        # swap-and-combine: left gets the block prefix, right gets
+        # block-prefix ⊕ left-half-sum (two dependency rounds, batched)
+        k = len(left)
+        machine.send_batch(
+            np.concatenate([right, left]),
+            np.concatenate([left, right]),
+            np.concatenate([acc[right], acc[left]]),
+            rounds=np.array([0, k, 2 * k]),
+        )
+        block_prefix = acc[right].copy()
+        left_sum = acc[left].copy()
+        acc[left] = block_prefix
+        acc[right] = op(block_prefix, left_sum)
     return acc
 
 
@@ -158,14 +151,48 @@ def inclusive_scan(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.a
     return op(ex, values)
 
 
+def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
+    """The machine's cached all-reduce rounds: ``(src, dst, dist, rounds)``.
+
+    Exactly the rounds :func:`allreduce` sends with ``root=0``: the
+    up-sweep, the hop from the surrogate root ``n - 1`` to processor 0
+    and back, then the down-sweep — every round EREW and every message
+    remote. Memoized under ``("barrier", n)`` with pre-gathered distances;
+    the plan depends only on the placement, which the machine never
+    changes.
+    """
+    key = ("barrier", machine.n)
+    plan = machine.plan_cache.lookup(key)
+    if plan is None:
+        n = machine.n
+        levels = _tree_levels(n)
+        last = np.array([n - 1], dtype=np.int64)
+        first = np.array([0], dtype=np.int64)
+        down = [(right, left) for left, right in reversed(levels)]
+        hops = [*levels, (last, first), (first, last), *down]
+        src = np.concatenate([s for s, _ in hops])
+        dst = np.concatenate([d for _, d in hops])
+        rounds = np.concatenate([[0], np.cumsum([len(s) for s, _ in hops])])
+        plan = (src, dst, machine.manhattan(src, dst), rounds.astype(np.int64))
+        machine.plan_cache[key] = plan
+    return cast("tuple[np.ndarray, ...]", plan)
+
+
 def barrier(machine: SpatialMachine) -> None:
     """Global synchronization (paper §VI-C): an all-reduce of a token.
 
     After the barrier every processor's dependency clock is at least the
     pre-barrier maximum, so later messages from any processor are ordered
     after everything before the barrier. O(n) energy, O(log n) depth.
+
+    The token carries no information, so only the all-reduce's message
+    schedule matters: it is replayed from the machine's plan cache as one
+    :meth:`~repro.machine.SpatialMachine.send_plan` (``exclusive=True``),
+    charging exactly what ``allreduce(machine, zeros)`` charges.
     """
-    allreduce(machine, np.zeros(machine.n, dtype=np.int64), op=np.add)
+    if machine.n > 1:
+        src, dst, dist, rounds = _barrier_plan(machine)
+        machine.send_plan(src, dst, rounds=rounds, dist=dist, exclusive=True)
     # the broadcast already raised every clock to the root's chain; make the
     # semantics explicit and exact:
     machine.clock[:] = machine.clock.max()

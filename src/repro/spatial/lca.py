@@ -14,6 +14,10 @@ O(log² n) depth** w.h.p., entirely with local messaging primitives:
    lies in ``r(w)\\r(x)`` answers ``w``. A barrier (all-reduce) separates
    layers.
 
+The ranges, the cover and step 4's message schedule depend only on the
+tree: :func:`prepare_lca` computes all three once, and every
+:func:`lca_batch` replays the schedule.
+
 Correctness is Corollary 3: if ``w = LCA(u,v) ∉ {u,v}``, exactly one of
 the two children of ``w`` on the ``u``/``v`` sides is a path head, so
 exactly one cover subtree sees exactly one endpoint, and only that layer
@@ -35,41 +39,75 @@ from repro.contracts import cost_contract
 from repro.errors import ValidationError
 from repro.machine.collectives import barrier
 from repro.spatial.subtree_cover import (
+    RangeForest,
     SpatialCover,
     SpatialRanges,
     build_cover,
     compute_ranges,
-    range_broadcast,
+    range_forest,
 )
 from repro.utils import as_index_array, check_in_range
 
 
 @dataclass(frozen=True)
-class PreparedLCA:
-    """Query-independent LCA state: treefix ranges + heavy-light cover.
+class LayerSweep:
+    """One cover layer's compiled step-4 sweep.
 
-    Both are pure functions of the layout — no query touches them — so a
-    long-lived caller (the serving loop) computes them once, pays the
-    ``lca_ranges``/``lca_cover`` energy once, and answers every later
-    batch with only the per-layer sweeps.
+    ``heads`` are the layer's non-root path heads sorted by position, the
+    lookup table the answer step searches; ``forest`` is the Lemma 13
+    broadcast within their subtrees' ranges (see :class:`RangeForest`).
+    """
+
+    heads: np.ndarray
+    forest: RangeForest
+
+
+@dataclass(frozen=True)
+class PreparedLCA:
+    """Query-independent LCA state: ranges, cover and the compiled sweep.
+
+    All three are pure functions of the tree and its layout — no query
+    touches them — so a long-lived caller (the serving loop) computes them
+    once, pays the ``lca_ranges``/``lca_cover`` energy once, and answers
+    every later batch with only the per-layer sweeps. ``layers`` holds one
+    :class:`LayerSweep` per cover layer, so a batch rebuilds nothing: each
+    layer is one trusted ``send_plan`` of its forest plus the machine's
+    cached barrier plan. The sweep stores processor ids only, never
+    distances, so a :class:`PreparedLCA` reused on another machine with
+    the same layout charges that machine's own distances.
     """
 
     ranges: SpatialRanges
     cover: SpatialCover
+    layers: tuple[LayerSweep, ...]
+
+
+def _compile_sweep(st, ranges: SpatialRanges, cover: SpatialCover) -> tuple[LayerSweep, ...]:
+    """Step 4's per-layer heads and broadcast forests (local work, no charge)."""
+    heads = np.flatnonzero(cover.is_head & (st.tree.parents >= 0))
+    heads = heads[np.argsort(ranges.lo[heads])]
+    layer = cover.layer[heads]
+    sweeps = []
+    for layer_i in range(cover.num_layers):
+        h = heads[layer == layer_i]
+        lo = ranges.lo[h]
+        sweeps.append(LayerSweep(h, range_forest(lo, ranges.hi[h] - lo + 1)))
+    return tuple(sweeps)
 
 
 def prepare_lca(st, *, seed=None) -> PreparedLCA:
-    """Precompute the reusable (query-independent) half of :func:`lca_batch`.
+    """Precompute the reusable (query-independent) part of :func:`lca_batch`.
 
     Charges the ``lca_ranges`` and ``lca_cover`` phases on ``st``'s
-    machine exactly as a cold :func:`lca_batch` call would; pass the
-    result back via ``prepared=`` to amortize it across batches.
+    machine exactly as a cold :func:`lca_batch` call would, then compiles
+    the layer sweep; pass the result back via ``prepared=`` to amortize
+    all of it across batches.
     """
     with st.machine.phase("lca_ranges"):
         ranges = compute_ranges(st, seed=seed)
     with st.machine.phase("lca_cover"):
         cover = build_cover(st, ranges, seed=seed)
-    return PreparedLCA(ranges=ranges, cover=cover)
+    return PreparedLCA(ranges=ranges, cover=cover, layers=_compile_sweep(st, ranges, cover))
 
 
 @cost_contract(energy="lca_energy", depth="lca_depth", plan_safe=True)
@@ -80,8 +118,10 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
     Returns the answers as vertex ids (and the :class:`SpatialCover` when
     ``return_cover`` is set, for the benchmarks' layer statistics).
     ``prepared`` reuses a :func:`prepare_lca` precomputation, skipping the
-    ranges/cover phases — the warm-serving path; omitted, the call builds
-    them itself exactly as before.
+    ranges/cover phases — the warm-serving path; omitted, the call runs
+    :func:`prepare_lca` itself. Either way the sweep replays the compiled
+    layers: per layer, one ``send_plan`` of its broadcast forest (with the
+    ``src_occ`` hint) and one barrier.
     """
     us = as_index_array(us, name="us")
     vs = as_index_array(vs, name="vs")
@@ -89,16 +129,13 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
         raise ValidationError("us and vs must have the same shape")
     check_in_range(us, 0, st.n, name="us")
     check_in_range(vs, 0, st.n, name="vs")
-    q = len(us)
-    answers = np.full(q, -1, dtype=np.int64)
-
-    pos = st.layout.position
-
     if prepared is None:
-        with st.machine.phase("lca_ranges"):
-            ranges = compute_ranges(st, seed=seed)
-    else:
-        ranges = prepared.ranges
+        prepared = prepare_lca(st, seed=seed)
+    ranges = prepared.ranges
+    machine = st.machine
+    pos = st.layout.position
+    parents = st.tree.parents
+    answers = np.full(len(us), -1, dtype=np.int64)
 
     # ---- step 1: ancestor-descendant queries are answered locally -------
     u_anc = ranges.contains(us, pos[vs])
@@ -106,57 +143,48 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
     v_anc = ranges.contains(vs, pos[us]) & ~u_anc
     answers[v_anc] = vs[v_anc]
 
-    if prepared is None:
-        with st.machine.phase("lca_cover"):
-            cover = build_cover(st, ranges, seed=seed)
-    else:
-        cover = prepared.cover
-
     # ---- step 4: layer sweeps over the subtree cover --------------------
     open_q = np.flatnonzero(answers < 0)
-    parents = st.tree.parents
-    with st.machine.phase("lca_layers"):
-        for layer_i in range(cover.num_layers):
-            heads = np.flatnonzero(
-                cover.is_head & (cover.layer == np.int64(layer_i)) & (parents >= 0)
-            )
-            if len(heads):
-                starts = ranges.lo[heads]
-                lengths = ranges.hi[heads] - ranges.lo[heads] + 1
-                range_broadcast(st, starts, lengths)
+    with machine.phase("lca_layers"):
+        for sweep in prepared.layers:
+            if len(sweep.heads):
+                forest = sweep.forest
+                if len(forest.src):
+                    machine.send_plan(
+                        forest.src, forest.dst, rounds=forest.rounds, src_occ=forest.occ
+                    )
                 # resolve queries with exactly one endpoint inside a head's
                 # subtree whose partner falls in r(w) \ r(x)
                 open_q = _answer_layer(
-                    st, answers, open_q, us, vs, heads, ranges, pos, parents
+                    answers, open_q, us, vs, sweep.heads, ranges, pos, parents
                 )
-            barrier(st.machine)
+            barrier(machine)
 
     if (answers < 0).any():  # pragma: no cover - Corollary 3 guarantees coverage
         raise ValidationError("internal: some queries were left unanswered")
     if return_cover:
-        return answers, cover
+        return answers, prepared.cover
     return answers
 
 
-def _answer_layer(st, answers, open_q, us, vs, heads, ranges, pos, parents) -> np.ndarray:
+def _answer_layer(answers, open_q, us, vs, heads, ranges, pos, parents) -> np.ndarray:
     """Resolve the still-open queries this layer's broadcast answers.
 
     Each head subtree is a contiguous position range, and heads of one
     layer are disjoint, so 'which head contains this endpoint' is a single
-    sorted lookup. The checks themselves are local computations at the
-    endpoint that received the broadcast.
+    sorted lookup into ``heads`` (sorted by position). The checks
+    themselves are local computations at the endpoint that received the
+    broadcast.
     """
     if len(open_q) == 0:
         return open_q
-    order = np.argsort(ranges.lo[heads])
-    heads_sorted = heads[order]
-    lo_sorted = ranges.lo[heads_sorted]
-    hi_sorted = ranges.hi[heads_sorted]
+    lo_sorted = ranges.lo[heads]
+    hi_sorted = ranges.hi[heads]
 
     def head_containing(positions: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(lo_sorted, positions, side="right") - 1
         ok = (idx >= 0) & (positions <= hi_sorted[np.clip(idx, 0, None)])
-        out = np.where(ok, heads_sorted[np.clip(idx, 0, None)], -1)
+        out = np.where(ok, heads[np.clip(idx, 0, None)], -1)
         return out
 
     for ends, partners in ((us, vs), (vs, us)):

@@ -11,10 +11,11 @@
   at ``x``; in light-first order that subtree is the contiguous position
   range ``[pos(x), pos(x) + s(x) - 1]`` (§VI-B).
 
-* :func:`range_broadcast` implements Lemma 13: broadcasting within a
-  contiguous range over a *virtual complete binary tree stored in
+* :func:`range_forest` builds Lemma 13's broadcast schedule within
+  contiguous ranges over a *virtual complete binary tree stored in
   light-first order* (root at the first position, the two half-ranges
-  recursively after it), giving O(length) energy and O(log length) depth.
+  recursively after it), giving O(length) energy and O(log length) depth;
+  :func:`range_broadcast` charges it.
 """
 
 from __future__ import annotations
@@ -92,39 +93,65 @@ def build_cover(st, ranges: SpatialRanges, *, seed=None) -> SpatialCover:
     )
 
 
-def _range_tree_levels(length: int) -> list[np.ndarray]:
-    """Edges of a balanced binary broadcast tree over ``range(length)``.
+@dataclass(frozen=True)
+class RangeForest:
+    """Lemma 13's broadcast trees over disjoint position ranges, as CSR rounds.
 
-    The tree is stored in preorder (light-first): a node is the first index
-    of its interval and its children are the first indices of the two
-    halves of the remainder, so every edge's index gap is at most the
-    child's interval size and the per-level energies form the geometric
-    series of Lemma 13. Returns one ``(k, 2)`` relative-edge array per
-    level, root level first.
+    Round ``r`` (``src/dst[rounds[r]:rounds[r+1]]``) holds every range's
+    level-``r`` edges. ``occ`` is each message's sender occurrence index
+    within its round: a range-tree node sends to at most two children per
+    round (0 for the first, 1 for the second) and no node receives twice,
+    which is the :meth:`~repro.machine.SpatialMachine.send_plan`
+    ``src_occ`` hint. The forest is placement-independent: it names
+    processor ids only, so each machine charges its own distances.
     """
-    levels: list[list[tuple[int, int]]] = []
-    # iterative BFS over (start, size, level) intervals
-    frontier = [(0, length)]
-    depth = 0
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        edges_here: list[tuple[int, int]] = []
-        for start, size in frontier:
-            rest = size - 1
-            if rest <= 0:
-                continue
-            left = (rest + 1) // 2
-            right = rest - left
-            edges_here.append((start, start + 1))
-            nxt.append((start + 1, left))
-            if right > 0:
-                edges_here.append((start, start + 1 + left))
-                nxt.append((start + 1 + left, right))
-        if edges_here:
-            levels.append(edges_here)
-        frontier = nxt
-        depth += 1
-    return [np.array(e, dtype=np.int64).reshape(-1, 2) for e in levels]
+
+    src: np.ndarray
+    dst: np.ndarray
+    rounds: np.ndarray
+    occ: np.ndarray
+
+
+def range_forest(starts: np.ndarray, lengths: np.ndarray) -> RangeForest:
+    """Build the broadcast forest over ranges ``[starts[i], starts[i] + lengths[i])``.
+
+    Each range's tree is a balanced binary tree stored in preorder
+    (light-first): a node is the first index of its interval and its
+    children are the first indices of the two halves of the remainder, so
+    every edge's index gap is at most the child's interval size and the
+    per-level energies form the geometric series of Lemma 13. All ranges
+    are expanded together, one level per round.
+    """
+    start = np.asarray(starts, dtype=np.int64)
+    size = np.asarray(lengths, dtype=np.int64)
+    src: list[np.ndarray] = []
+    dst: list[np.ndarray] = []
+    occ: list[np.ndarray] = []
+    while True:
+        keep = size > 1
+        start, size = start[keep], size[keep]
+        if len(start) == 0:
+            break
+        left = size // 2              # the first half of the remainder
+        right = size - 1 - left       # the second half (may be empty)
+        two = right > 0
+        fan = 1 + two.astype(np.int64)
+        second = (np.cumsum(fan) - 1)[two]  # slots of the second children
+        child = np.repeat(start + 1, fan)
+        child[second] += left[two]
+        child_size = np.repeat(left, fan)
+        child_size[second] = right[two]
+        sender_occ = np.zeros(len(child), dtype=np.int64)
+        sender_occ[second] = 1
+        src.append(np.repeat(start, fan))
+        dst.append(child)
+        occ.append(sender_occ)
+        start, size = child, child_size
+    rounds = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in src], out=rounds[1:])
+    if not src:
+        src = dst = occ = [np.empty(0, dtype=np.int64)]
+    return RangeForest(np.concatenate(src), np.concatenate(dst), rounds, np.concatenate(occ))
 
 
 def range_broadcast(st, starts: np.ndarray, lengths: np.ndarray) -> None:
@@ -132,49 +159,9 @@ def range_broadcast(st, starts: np.ndarray, lengths: np.ndarray) -> None:
 
     ``starts[i]``/``lengths[i]`` give range ``[starts[i], starts[i] +
     lengths[i])``; the payload is whatever the caller tracks — the machine
-    charges one word per tree edge. Ranges are processed concurrently; the
-    message rounds are the union of each range's broadcast-tree levels.
+    charges one word per tree edge. Ranges are processed concurrently: the
+    whole :func:`range_forest` is charged as one multi-round batch.
     """
-    if len(starts) == 0:
-        return
-    machine = st.machine
-    max_len = int(lengths.max())
-    if max_len <= 1:
-        return
-    # group ranges by identical length to reuse the relative edge lists
-    by_len: dict[int, np.ndarray] = {}
-    for L in np.unique(lengths):
-        L = int(L)
-        if L > 1:
-            by_len[L] = np.asarray(starts)[lengths == L]
-    # precompute levels per distinct length
-    levels_for = {L: _range_tree_levels(L) for L in by_len}
-    num_rounds = max(len(v) for v in levels_for.values())
-    # assemble the union of all ranges' level-r edges as CSR dependency
-    # rounds and charge the whole broadcast forest in one engine batch
-    chunks: list[np.ndarray] = []
-    sizes: list[int] = []
-    for r in range(num_rounds):
-        src_all = []
-        dst_all = []
-        for L, base in by_len.items():
-            levels = levels_for[L]
-            if r >= len(levels):
-                continue
-            edges = levels[r]
-            # offset the relative edges by every range start of this length
-            src = (base[:, None] + edges[None, :, 0]).ravel()
-            dst = (base[:, None] + edges[None, :, 1]).ravel()
-            src_all.append(src)
-            dst_all.append(dst)
-        if src_all:
-            chunks.append(np.concatenate(src_all))
-            chunks.append(np.concatenate(dst_all))
-            sizes.append(len(chunks[-1]))
-    if sizes:
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        machine.send_batch(
-            np.concatenate(chunks[0::2]),
-            np.concatenate(chunks[1::2]),
-            rounds=offsets,
-        )
+    forest = range_forest(starts, lengths)
+    if len(forest.src):
+        st.machine.send_batch(forest.src, forest.dst, rounds=forest.rounds)

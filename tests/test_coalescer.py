@@ -144,8 +144,11 @@ class TestWindowedQueue:
         q = WindowedQueue(window_s=10.0, max_batch=2, max_queue=10)
         for _ in range(3):
             q.submit(lca_req((1, 2)))
+        t0 = time.monotonic()
         kind, window = q.next_work()
+        assert time.monotonic() - t0 < q.window_s / 10  # closed by size, not time
         assert len(window) == 2  # third stays queued for the next window
+        q.drain()  # flushes the leftover at once instead of waiting out the window
         kind, window = q.next_work()
         assert len(window) == 1
 

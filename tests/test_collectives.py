@@ -84,6 +84,24 @@ class TestCollectiveCosts:
         barrier(m)
         assert (m.clock == m.clock[0]).all()
 
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 100, 4096])
+    def test_barrier_plan_matches_allreduce(self, n, engine):
+        """The cached barrier plan charges exactly the all-reduce it
+        replays. The scalar engine ignores ``exclusive``; under the
+        batched engine the plan runs the EREW kernel and ``allreduce`` the
+        probing one, so agreement there also proves the hint."""
+        start = np.random.default_rng(n).integers(0, 4 * n, size=n)
+        m1, m2 = (SpatialMachine(n, engine=engine) for _ in range(2))
+        m1.clock[:] = start
+        m2.clock[:] = start
+        barrier(m1)
+        allreduce(m2, np.zeros(n, dtype=np.int64))
+        m2.clock[:] = m2.clock.max()
+        assert np.array_equal(m1.clock, m2.clock)
+        assert (m1.energy, m1.messages, m1.steps) == (m2.energy, m2.messages, m2.steps)
+        assert (("barrier", n) in m1.plan_cache) == (n > 1)
+
     def test_input_shape_checked(self):
         m = SpatialMachine(8)
         with pytest.raises(ValidationError):

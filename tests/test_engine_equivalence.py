@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine import collectives
 from repro.machine.machine import SpatialMachine
-from repro.spatial import SpatialTree
+from repro.spatial import SpatialTree, lca_batch, prepare_lca
 from repro.spatial.list_ranking import list_rank
 from repro.spatial.local_messaging import (
     family_broadcast,
@@ -286,6 +286,55 @@ def test_tree_zoo_equivalence(name, tree, mode):
         return np.concatenate([a, b])
 
     run_on_tree(tree, exercise, mode=mode)
+
+
+# one tree large enough that forest and barrier rounds pass the small-round
+# kernel and reach the ``src_occ`` and ``exclusive`` clock kernels
+LCA_ZOO = [*ZOO, ("binary120", random_binary_tree(120, seed=3))]
+
+
+@pytest.mark.parametrize("name,tree", LCA_ZOO, ids=[name for name, _ in LCA_ZOO])
+@pytest.mark.parametrize("mode", ["direct", "virtual"])
+def test_lca_batch_equivalence(name, tree, mode):
+    """The compiled LCA sweep: scalar vs batched, cold vs ``prepared=``.
+
+    Star and path give cover layers without heads and ranges of length 1.
+    """
+    rng = np.random.default_rng(tree.n)
+    us = rng.integers(0, tree.n, size=2 * tree.n)
+    vs = rng.integers(0, tree.n, size=2 * tree.n)
+    answers = {}
+    machines = {}
+    for engine in ENGINES:
+        for warm in (False, True):
+            stree = SpatialTree.build(tree, seed=0, mode=mode, engine=engine)
+            prepared = prepare_lca(stree, seed=3) if warm else None
+            answers[engine, warm] = lca_batch(stree, us, vs, seed=3, prepared=prepared)
+            machines[engine, warm] = stree.machine
+    ref = ("scalar", False)
+    for key in machines:
+        assert np.array_equal(answers[key], answers[ref])
+        assert_machines_agree(machines[ref], machines[key])
+
+
+def test_prepared_lca_charges_the_reusing_machine():
+    """A PreparedLCA stores no distances: reused on a zorder tree with the
+    same layout it charges zorder's sweep, not the Hilbert tree's."""
+    tree = prufer_random_tree(50, seed=11)
+    rng = np.random.default_rng(0)
+    us = rng.integers(0, tree.n, size=80)
+    vs = rng.integers(0, tree.n, size=80)
+    sweep = {}
+    for curve in ("hilbert", "zorder"):
+        stree = SpatialTree.build(tree, seed=0, curve=curve, engine="batched")
+        answer = lca_batch(stree, us, vs, seed=3)
+        sweep[curve] = stree.machine.ledger.phases["lca_layers"].energy
+    hilbert = SpatialTree.build(tree, seed=0, curve="hilbert", engine="batched")
+    zorder = SpatialTree.build(tree, seed=0, curve="zorder", engine="batched")
+    assert np.array_equal(hilbert.layout.position, zorder.layout.position)
+    prepared = prepare_lca(hilbert, seed=3)
+    assert np.array_equal(lca_batch(zorder, us, vs, seed=3, prepared=prepared), answer)
+    assert zorder.machine.energy == sweep["zorder"] != sweep["hilbert"]
 
 
 @pytest.mark.parametrize("mode", ["direct", "virtual"])

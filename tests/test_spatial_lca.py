@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ValidationError
 from repro.machine import SpatialMachine
 from repro.spatial import SpatialTree, build_cover, compute_ranges, lca_batch
-from repro.spatial.subtree_cover import _range_tree_levels, range_broadcast
+from repro.spatial.subtree_cover import range_broadcast, range_forest
 from repro.trees import (
     BinaryLiftingLCA,
     heavy_light_decomposition,
@@ -68,10 +68,41 @@ class TestSpatialCover:
         assert cover.num_layers <= np.ceil(np.log2(max(2, zoo_tree.n))) + 1
 
 
+def _forest_levels(length):
+    """One ``(k, 2)`` edge array per round of a single range's broadcast tree."""
+    f = range_forest(np.array([0]), np.array([length]))
+    return [
+        np.stack([f.src[a:b], f.dst[a:b]], axis=1)
+        for a, b in zip(f.rounds[:-1], f.rounds[1:])
+    ]
+
+
+def _reference_levels(length):
+    """The same tree as a plain BFS over ``(start, size)`` intervals: the
+    loop :func:`range_forest` vectorizes, kept as its reference."""
+    levels, frontier = [], [(0, length)]
+    while frontier:
+        edges, nxt = [], []
+        for start, size in frontier:
+            rest = size - 1
+            if rest <= 0:
+                continue
+            left = (rest + 1) // 2
+            edges.append((start, start + 1))
+            nxt.append((start + 1, left))
+            if rest > left:
+                edges.append((start, start + 1 + left))
+                nxt.append((start + 1 + left, rest - left))
+        if edges:
+            levels.append(edges)
+        frontier = nxt
+    return levels
+
+
 class TestRangeBroadcastTree:
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 17, 100])
     def test_covers_every_index(self, length):
-        levels = _range_tree_levels(length)
+        levels = _forest_levels(length)
         reached = {0}
         for edges in levels:
             for a, b in edges:
@@ -80,13 +111,37 @@ class TestRangeBroadcastTree:
         assert reached == set(range(length))
 
     def test_depth_logarithmic(self):
-        assert len(_range_tree_levels(1024)) <= 11
+        assert len(_forest_levels(1024)) <= 11
 
     def test_edge_gaps_geometric(self):
         # each edge jumps at most the child interval size
-        for edges in _range_tree_levels(64):
+        for edges in _forest_levels(64):
             for a, b in edges:
                 assert b - a <= 33
+
+    def test_forest_matches_reference_loop(self):
+        # several disjoint ranges expanded together: round r holds each
+        # range's level-r edges in the reference order (a sender's first
+        # child first, which its clock chain depends on)
+        starts, lengths = np.array([0, 9, 10, 40, 42]), np.array([9, 1, 30, 2, 1025])
+        ref = [_reference_levels(n) for n in lengths]
+        f = range_forest(starts, lengths)
+        assert len(f.rounds) - 1 == max(map(len, ref))
+        for r, (a, b) in enumerate(zip(f.rounds[:-1], f.rounds[1:])):
+            src, dst = f.src[a:b], f.dst[a:b]
+            for s, n, levels in zip(starts, lengths, ref):
+                mine = (src >= s) & (src < s + n)
+                got = list(zip((src[mine] - s).tolist(), (dst[mine] - s).tolist()))
+                assert got == (levels[r] if r < len(levels) else [])
+
+    def test_forest_occurrence_hint(self):
+        # per round no node receives twice, and occ is each sender's
+        # occurrence index: the send_plan ``src_occ`` contract
+        f = range_forest(np.array([0, 9, 10, 40]), np.array([9, 1, 30, 2]))
+        for a, b in zip(f.rounds[:-1], f.rounds[1:]):
+            src, dst = f.src[a:b].tolist(), f.dst[a:b].tolist()
+            assert len(set(dst)) == len(dst)
+            assert f.occ[a:b].tolist() == [src[:i].count(s) for i, s in enumerate(src)]
 
     def test_range_broadcast_costs(self):
         m = SpatialMachine(256)
