@@ -92,7 +92,10 @@ def subtree_statistics(st, values, *, seed=None) -> SubtreeStatistics:
 
     Five treefix passes (each O(n log n) energy); a fused multi-word
     variant would only change constants since each pass moves O(1) words
-    per message. Integer and float values are both supported.
+    per message. With an integer ``seed`` the five passes share one
+    compiled contraction schedule: the first compiles it, the other four
+    replay it (each still charges every message and folds its own
+    values). Integer and float values are both supported.
     """
     values = np.asarray(values)
     if values.shape != (st.n,):

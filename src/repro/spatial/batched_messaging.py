@@ -26,12 +26,15 @@ payloads are evolving partial folds; accounting never depends on them).
 
 These functions assume the caller resolved mode/engine; the public kernels
 in :mod:`repro.spatial.local_messaging` dispatch here when the machine runs
-``engine="batched"``.
+``engine="batched"``. The treefix contraction uses the plans under both
+engines: it records :func:`family_edges` selections once per schedule and
+replays them over the :class:`FamilyPlan` views of :func:`family_plans`
+(``send_plan`` falls back to the per-round reference under ``"scalar"``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -51,6 +54,35 @@ def _family_index(
     return order, foffs, key, {}
 
 
+def family_edges(
+    findex: tuple[np.ndarray, np.ndarray, np.ndarray, dict], families: np.ndarray
+) -> np.ndarray | None:
+    """Positions of the active families' plan edges, ascending, without
+    sending them — ``None`` when every plan edge is active.
+
+    Equivalent to ``np.flatnonzero(families[key])`` but costs O(active
+    edges) instead of O(plan edges) on a sparse frontier: the contraction's
+    active-family sets shrink geometrically, so the work tracks the live
+    frontier rather than the whole tree. Treefix compiles its rounds from
+    these positions once and replays them on every call.
+    """
+    forder, foffs, key, _ = findex
+    active = np.flatnonzero(families)
+    starts = foffs[active]
+    cnts = foffs[active + 1] - starts
+    k = int(cnts.sum())
+    if k == len(key):
+        return None
+    if 4 * k >= len(key):
+        # dense frontier: one boolean pass over the plan beats gathering
+        # and re-sorting edge positions per family
+        return np.flatnonzero(families[key])
+    csum = np.concatenate([[0], np.cumsum(cnts)])
+    idx = forder[np.arange(k, dtype=np.int64) + np.repeat(starts - csum[:-1], cnts)]
+    idx.sort()
+    return idx
+
+
 def _select_family(
     findex: tuple[np.ndarray, np.ndarray, np.ndarray, dict],
     families: np.ndarray,
@@ -59,52 +91,22 @@ def _select_family(
 ) -> tuple[np.ndarray, ...]:
     """Edges of the active families only, in plan order, with new offsets.
 
-    Equivalent to filtering with the boolean mask ``families[key]`` but
-    costs O(active edges) instead of O(plan edges): the contraction's
-    active-family sets shrink geometrically, so per-call work tracks the
-    live frontier rather than the whole tree. Consecutive calls against the
-    *same* mask object (treefix probes several reductions per family set)
-    hit a one-slot memo instead of re-selecting.
+    Selects through :func:`family_edges`. Consecutive calls against the
+    *same* mask object (the expression contraction probes several
+    reductions per family set) hit a one-slot memo instead of re-selecting.
     """
-    forder, foffs, key, memo = findex
+    memo = findex[3]
     if memo.get("mask") is families:
         hit: tuple[np.ndarray, ...] = memo["result"]
         return hit
-    result = _select_family_uncached(forder, foffs, key, families, offs, *arrays)
+    idx = family_edges(findex, families)
+    if idx is None:
+        result = (offs, *arrays)
+    else:
+        result = (np.searchsorted(idx, offs), *tuple(a[idx] for a in arrays))
     memo["mask"] = families
     memo["result"] = result
     return result
-
-
-def _select_family_uncached(
-    forder: np.ndarray,
-    foffs: np.ndarray,
-    key: np.ndarray,
-    families: np.ndarray,
-    offs: np.ndarray,
-    *arrays: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    active = np.flatnonzero(families)
-    starts = foffs[active]
-    cnts = foffs[active + 1] - starts
-    k = int(cnts.sum())
-    if k == 0:
-        zero = np.zeros(len(offs), dtype=np.int64)
-        return (zero, *tuple(a[:0] for a in arrays))
-    if k == len(key):
-        # every family with plan edges is active — the plan passes through
-        return (offs, *arrays)
-    if 4 * k >= len(key):
-        # dense frontier: one boolean pass over the plan beats gathering
-        # and re-sorting edge positions per family
-        idx = np.flatnonzero(families[key])
-        new_offs = np.searchsorted(idx, offs)
-        return (new_offs, *tuple(a[idx] for a in arrays))
-    csum = np.concatenate([[0], np.cumsum(cnts)])
-    idx = forder[np.arange(k, dtype=np.int64) + np.repeat(starts - csum[:-1], cnts)]
-    idx.sort()
-    new_offs = np.searchsorted(idx, offs)
-    return (new_offs, *tuple(a[idx] for a in arrays))
 
 
 # --------------------------------------------------------------------- #
@@ -419,3 +421,41 @@ def virtual_reduce(
         target = acc_iv if r < n_app else result
         target[p] = op(target[p], acc_iv[c])
     return result
+
+
+# --------------------------------------------------------------------- #
+# mode-independent views
+# --------------------------------------------------------------------- #
+
+
+class FamilyPlan(NamedTuple):
+    """One cached per-tree plan in send order, with the same field names in
+    both modes: what a caller replaying recorded selections
+    (:func:`family_edges` positions) needs to send and fold."""
+
+    src: np.ndarray  # sender processor of each edge
+    dst: np.ndarray
+    dist: np.ndarray  # pre-gathered distances
+    occ: np.ndarray | None  # sender occurrence hint (virtual broadcast)
+    key: np.ndarray  # family (original parent) of each edge
+    par: np.ndarray  # reduce: the vertex an edge folds into
+    chi: np.ndarray  # the vertex an edge delivers to / whose message it folds
+    offs: np.ndarray  # round offsets
+    n_app: int  # leading reduce segments that fold into relay accumulators
+    findex: tuple
+    carry: bool  # reduce sends carry their messages (virtual ones send none)
+
+
+def family_plans(st: SpatialTree) -> tuple[FamilyPlan, FamilyPlan]:
+    """``(broadcast, reduce)`` views of the tree's cached plans for its mode."""
+    if st.mode == "direct":
+        par, chi, ppar, pchi, pd, offs, findex = direct_plan(st)
+        return (
+            FamilyPlan(ppar, pchi, pd, None, par, par, chi, offs, 0, findex, True),
+            FamilyPlan(pchi, ppar, pd, None, par, par, chi, offs, 0, findex, True),
+        )
+    chi, fam, psrc, pchi, pd, occ, offs, findex = virtual_bcast_plan(st)
+    bcast = FamilyPlan(psrc, pchi, pd, occ, fam, fam, chi, offs, 0, findex, True)
+    par, chi, ppar, pchi, pd, offs, n_app, findex = virtual_reduce_plan(st)
+    reduce = FamilyPlan(pchi, ppar, pd, None, findex[2], par, chi, offs, n_app, findex, False)
+    return bcast, reduce

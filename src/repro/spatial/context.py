@@ -74,6 +74,8 @@ class SpatialTree:
         self._vt: VirtualTree | None = None
         self._vt_charged = False
         self._sched = None  # cached VirtualSchedule (built with the vt)
+        #: the one memoized TreefixSchedule (see repro.spatial.treefix)
+        self._treefix_schedule = None
 
     # ------------------------------------------------------------------ #
     # construction

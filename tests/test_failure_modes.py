@@ -80,6 +80,11 @@ class TestBudgets:
         st = SpatialTree.build(tree, budget=4)
         with pytest.raises(MemoryBudgetError):
             treefix_sum(st, np.ones(32, dtype=np.int64), seed=2)
+        # the registers allocated before the failure are released, so the
+        # next call fails on the budget again rather than on a leak
+        assert st.machine.registers.live == 0
+        with pytest.raises(MemoryBudgetError):
+            treefix_sum(st, np.ones(32, dtype=np.int64), seed=2)
 
     def test_budget_error_is_repro_error(self):
         assert issubclass(MemoryBudgetError, ReproError)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ValidationError
+from tests.test_failure_modes import AllHeadsRng
+
+from repro.errors import ConvergenceError, ValidationError
 from repro.spatial import SpatialTree
+from repro.spatial.graph import one_respecting_cuts
 from repro.spatial.treefix import top_down_treefix, treefix_sum
 from repro.trees import (
     bottom_up_treefix as ref_bottom_up,
@@ -187,6 +190,124 @@ class TestEdgeCases:
         st_ = SpatialTree.build(path_tree(4))
         with pytest.raises(ValidationError):
             treefix_sum(st_, np.zeros(5))
+
+
+def _schedule_counts(st_) -> tuple[int, int]:
+    pc = st_.machine.plan_cache
+    return pc.hits.get("treefix_schedule", 0), pc.misses.get("treefix_schedule", 0)
+
+
+class TestScheduleCache:
+    """The compiled contraction schedule: one memo slot per tree, keyed by
+    (mode, seed, coin_bias), filled for integer seeds only."""
+
+    def test_same_seed_new_payload_replays(self, rng):
+        t = random_attachment_tree(300, seed=31)
+        st_ = SpatialTree.build(t)
+        sizes = treefix_sum(st_, np.ones(300, dtype=np.int64), seed=5)
+        vals = rng.integers(-50, 50, size=300)
+        got = treefix_sum(st_, vals, seed=5)
+        assert _schedule_counts(st_) == (1, 1)
+        assert np.array_equal(sizes, t.subtree_sizes())
+        assert np.array_equal(got, ref_bottom_up(t, vals))
+
+    def test_top_down_replays_the_bottom_up_schedule(self, rng):
+        t = prufer_random_tree(250, seed=32)
+        st_ = SpatialTree.build(t)
+        vals = rng.integers(-50, 50, size=250)
+        treefix_sum(st_, vals, seed=6)
+        got = top_down_treefix(st_, vals, seed=6)
+        assert _schedule_counts(st_) == (1, 1)
+        assert np.array_equal(got, ref_top_down(t, vals))
+
+    def test_prepare_lca_compiles_once(self):
+        st_ = SpatialTree.build(random_attachment_tree(200, seed=33))
+        st_.prepare_lca(seed=4)
+        assert _schedule_counts(st_) == (1, 1)
+
+    def test_cold_one_respecting_cuts_compiles_once(self):
+        t = random_attachment_tree(120, seed=34)
+        # distinct endpoints: no vertex is hot, so the LCA runs on this tree
+        extra = np.random.default_rng(34).permutation(120)[:40].reshape(-1, 2)
+        st_ = SpatialTree.build(t)
+        one_respecting_cuts(st_, extra, seed=7)
+        assert _schedule_counts(st_) == (2, 1)
+
+    def test_uncacheable_seeds_never_fill_the_slot(self):
+        ones = np.ones(200, dtype=np.int64)
+        t = prufer_random_tree(200, seed=35)
+        for seed in (None, np.random.default_rng(3)):
+            st_ = SpatialTree.build(t)
+            treefix_sum(st_, ones, seed=seed)
+            treefix_sum(st_, ones, seed=seed)
+            assert st_._treefix_schedule is None
+            assert _schedule_counts(st_) == (0, 2)
+        star = SpatialTree.build(star_tree(64))
+        treefix_sum(star, np.ones(64, dtype=np.int64), seed=AllHeadsRng())
+        assert star._treefix_schedule is None
+        # a generator with the same stream charges what the integer seed does
+        by_rng, by_int = SpatialTree.build(t), SpatialTree.build(t)
+        treefix_sum(by_rng, ones, seed=np.random.default_rng(3))
+        treefix_sum(by_int, ones, seed=3)
+        assert by_rng.machine.energy == by_int.machine.energy
+        assert by_rng.machine.depth == by_int.machine.depth
+
+    def test_key_change_replaces_the_one_slot(self, rng):
+        t = prufer_random_tree(200, seed=36)
+        st_ = SpatialTree.build(t, mode="direct")
+        vals = rng.integers(-50, 50, size=200)
+        keys = []
+        for seed, bias, mode in ((1, 0.5, "direct"), (2, 0.5, "direct"),
+                                 (2, 0.3, "direct"), (2, 0.3, "virtual")):
+            st_.mode = mode
+            got = treefix_sum(st_, vals, seed=seed, coin_bias=bias)
+            assert np.array_equal(got, ref_bottom_up(t, vals))
+            keys.append(st_._treefix_schedule.key)
+        assert keys == [("direct", 1, 0.5), ("direct", 2, 0.5),
+                        ("direct", 2, 0.3), ("virtual", 2, 0.3)]
+        assert _schedule_counts(st_) == (0, 4)
+
+    def test_convergence_error_caches_and_charges_nothing(self):
+        st_ = SpatialTree.build(path_tree(128))
+        with pytest.raises(ConvergenceError, match="contraction exceeded 2 rounds"):
+            treefix_sum(st_, np.ones(128, dtype=np.int64), seed=1, max_rounds=2)
+        assert st_._treefix_schedule is None
+        assert st_.machine.registers.live == 0
+        assert st_.machine.energy == 0
+
+    @pytest.mark.parametrize("stage", ["contraction", "uncontraction"])
+    def test_cached_schedule_still_enforces_max_rounds(self, stage):
+        # the random tree's undo needs more rounds than its contraction
+        t = path_tree(128) if stage == "contraction" else random_attachment_tree(200, seed=1)
+        ones = np.ones(t.n, dtype=np.int64)
+        warm = SpatialTree.build(t)
+        treefix_sum(warm, ones, seed=1)
+        cap = warm.last_contraction_rounds - (stage == "contraction")
+        prefix = "tree contraction" if stage == "contraction" else "uncontraction"
+        with pytest.raises(ConvergenceError, match=f"^{prefix} exceeded {cap} rounds") as live:
+            treefix_sum(SpatialTree.build(t), ones, seed=1, max_rounds=cap)
+        warm.machine.reset_costs()
+        with pytest.raises(ConvergenceError) as replayed:
+            treefix_sum(warm, ones, seed=1, max_rounds=cap)
+        assert str(replayed.value) == str(live.value)
+        assert warm.machine.registers.live == 0
+        assert warm.machine.energy == 0
+
+    @pytest.mark.parametrize("mode", ["direct", "virtual"])
+    def test_schedule_size(self, mode):
+        n = 1 << 14
+        st_ = SpatialTree.build(prufer_random_tree(n, seed=10), mode=mode)
+        treefix_sum(st_, np.ones(n, dtype=np.int64), seed=10)
+        sched = st_._treefix_schedule
+        assert sched.nbytes <= 96 * n
+        # no per-vertex array: the ghost-state sanitizer needs no allowance
+        stack = [sched.contract, sched.expand]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, np.ndarray):
+                assert len(item) < n
+            elif isinstance(item, tuple):
+                stack.extend(item)
 
 
 @settings(max_examples=20, deadline=None)
