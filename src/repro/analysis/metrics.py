@@ -409,7 +409,8 @@ def publish_tracer(registry: MetricsRegistry, tracer) -> None:
         "repro_congestion_max_load", "hottest cell's traversal count (XY routing)"
     ).set(tracer.max_load)
     registry.counter(
-        "repro_congestion_traversals_total", "cell traversals (= energy + messages)"
+        "repro_congestion_traversals_total",
+        "cell traversals (= L1 distance + messages; = energy + messages under manhattan)",
     ).inc(tracer.total_traversals)
 
 

@@ -7,9 +7,12 @@ per grid cell, how many messages traverse it under deterministic
 **XY (dimension-order) routing** — horizontal leg first, then vertical —
 the routing used by mesh NoCs like the WSE's.
 
-The total traversal count equals energy + messages (each message touches
-``distance + 1`` cells), so the heatmap is a spatial decomposition of the
-energy term. :func:`render_heatmap` draws it as ASCII for the examples.
+Each message touches its L1 distance + 1 cells, so the total traversal
+count is Σ L1 + messages. Under the default ``metric="manhattan"`` that is
+energy + messages, and the heatmap is a spatial decomposition of the energy
+term. Under ``metric="chebyshev"`` energy charges L∞, so traversals exceed
+energy + messages by every message's shorter leg. :func:`render_heatmap`
+draws the grid as ASCII for the examples.
 
 Consumers: the CLI's ``--report`` path attaches a tracer for the report's
 max-load figure, ``repro profile`` feeds it into the profile bundle, and
@@ -20,6 +23,7 @@ every ``/metrics`` scrape publishes ``repro_congestion_*`` from it.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,13 +35,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class CongestionTracer:
-    """Accumulates per-cell traversal counts under XY routing."""
+    """Accumulates per-cell traversal counts under XY routing.
+
+    :meth:`record` only appends coordinates to a buffer of
+    :attr:`CAPACITY` messages, so an observed step costs O(messages). A
+    *fold* turns the buffered legs into one pair of difference arrays with
+    ``np.bincount`` and adds their prefix sums into :attr:`load`: one
+    O(side²) pass per :attr:`CAPACITY` messages instead of one per step.
+    It runs when a record would overflow the buffer, directly on a record
+    larger than the buffer, and on every read of :attr:`load`,
+    :attr:`max_load` or :attr:`total_traversals`, so readers always see the
+    exact grid.
+
+    One lock guards appending, folding and reading: the telemetry server
+    reads from its own thread while the simulation records, and either side
+    waits at most one fold.
+    """
+
+    #: messages buffered between folds (int32 coordinates)
+    CAPACITY = 1 << 14
 
     def __init__(self, side: int) -> None:
         if side < 1:
             raise ValidationError(f"side must be >= 1, got {side}")
         self.side = int(side)
-        self.load = np.zeros((self.side, self.side), dtype=np.int64)
+        self._load = np.zeros((self.side, self.side), dtype=np.int64)
+        # rows xs, ys, xd, yd of the messages not folded yet
+        self._pending = np.empty((4, self.CAPACITY), dtype=np.int32)
+        self._fill = 0
+        self._lock = threading.Lock()
         self.messages = 0
 
     def record(self, xs: np.ndarray, ys: np.ndarray, xd: np.ndarray, yd: np.ndarray) -> None:
@@ -46,46 +72,96 @@ class CongestionTracer:
         Each message's XY path is: walk along the row ``ys`` from ``xs`` to
         ``xd``, then along the column ``xd`` from ``ys`` to ``yd``. Every
         visited cell's load increments (endpoints included once).
+
+        :attr:`messages` counts the batch at once; its cells reach
+        :attr:`load` at the next fold. A fold that finds a coordinate
+        outside ``[0, side)`` raises :class:`ValidationError`, drops the
+        messages it was given and leaves :attr:`load` as it was.
         """
-        self.messages += len(xs)
-        # horizontal legs: row ys, columns [min(xs,xd), max(xs,xd)]
-        x_lo = np.minimum(xs, xd)
-        x_hi = np.maximum(xs, xd)
-        # vertical legs: column xd, rows (ys, yd] exclusive of the turn cell
-        y_lo = np.minimum(ys, yd)
-        y_hi = np.maximum(ys, yd)
-        # difference-array trick per row/column keeps this O(total + side²)
-        row_diff = np.zeros((self.side, self.side + 1), dtype=np.int64)
-        np.add.at(row_diff, (ys, x_lo), 1)
-        np.add.at(row_diff, (ys, x_hi + 1), -1)
-        self.load += np.cumsum(row_diff[:, :-1], axis=1)
-        col_diff = np.zeros((self.side + 1, self.side), dtype=np.int64)
-        vertical = y_hi > y_lo
-        if vertical.any():
-            xv = xd[vertical]
-            lo = y_lo[vertical]
-            hi = y_hi[vertical]
-            # exclude the turn cell (xd, ys) which the horizontal leg counted
-            start = np.where(ys[vertical] == lo, lo + 1, lo)
-            end = np.where(ys[vertical] == lo, hi, hi - 1)
-            keep = start <= end
-            if keep.any():
-                np.add.at(col_diff, (start[keep], xv[keep]), 1)
-                np.add.at(col_diff, (end[keep] + 1, xv[keep]), -1)
-        self.load += np.cumsum(col_diff[:-1, :], axis=0)
+        k = len(xs)
+        with self._lock:
+            if k > self.CAPACITY:
+                self._fold((xs, ys, xd, yd))
+            elif k:
+                if self._fill + k > self.CAPACITY:
+                    self._flush()
+                legs = self._pending[:, self._fill : self._fill + k]
+                legs[0], legs[1], legs[2], legs[3] = xs, ys, xd, yd
+                self._fill += k
+            self.messages += k
+
+    def _flush(self) -> None:
+        """Fold the buffered messages (the caller holds the lock)."""
+        fill, self._fill = self._fill, 0
+        if fill:
+            self._fold(self._pending[:, :fill])
+
+    def _fold(self, legs) -> None:
+        """Add the XY paths of ``legs`` (rows xs, ys, xd, yd) into the grid."""
+        side = self.side
+        legs = np.asarray(legs, dtype=np.intp)
+        lo, hi = int(legs.min()), int(legs.max())
+        if lo < 0 or hi >= side:
+            raise ValidationError(
+                f"message coordinates span [{lo}, {hi}], outside the "
+                f"{side}x{side} grid"
+            )
+        xs, ys, xd, yd = legs
+        # Both legs as difference arrays over one flat index space of rows
+        # of width side + 1: the horizontal leg covers row ys, columns
+        # [min(xs,xd), max(xs,xd)]; the vertical leg covers column xd, rows
+        # (ys, yd] or [yd, ys), i.e. [min + down, max + down) — the turn
+        # cell (xd, ys) belongs to the horizontal leg, and a message with
+        # ys == yd adds +1 and -1 at one slot. Vertical legs are stored
+        # transposed ([x, y]) so both halves prefix-sum along their rows.
+        w = side + 1
+        half = side * w
+        down = yd > ys
+        starts = np.concatenate(
+            (ys * w + np.minimum(xs, xd), half + xd * w + np.minimum(ys, yd) + down)
+        )
+        ends = np.concatenate(
+            (ys * w + np.maximum(xs, xd) + 1, half + xd * w + np.maximum(ys, yd) + down)
+        )
+        diff = np.bincount(starts, minlength=2 * half)
+        diff -= np.bincount(ends, minlength=2 * half)
+        # every +1 has its -1 in the same row, so each row's running sum
+        # starts at zero and one flat prefix sum is the per-row one
+        np.cumsum(diff, out=diff)
+        rows, cols = diff.reshape(2, side, w)[:, :, :side]
+        self._load += rows
+        self._load += cols.T
+
+    @property
+    def load(self) -> np.ndarray:
+        """The ``(side, side)`` int64 traversal grid, indexed ``[y, x]``.
+
+        Reading it folds the buffer; it is the same writable array on every
+        read.
+        """
+        with self._lock:
+            self._flush()
+        return self._load
 
     @property
     def total_traversals(self) -> int:
-        return int(self.load.sum())
+        with self._lock:
+            self._flush()
+            return int(self._load.sum())
 
     @property
     def max_load(self) -> int:
         """The hottest cell's traversal count — the congestion figure."""
-        return int(self.load.max())
+        with self._lock:
+            self._flush()
+            return int(self._load.max())
 
     def reset(self) -> None:
-        self.load[:] = 0
-        self.messages = 0
+        """Zero the grid and the message count, dropping buffered messages."""
+        with self._lock:
+            self._load[:] = 0
+            self._fill = 0
+            self.messages = 0
 
 
 def attach_tracer(machine: SpatialMachine) -> CongestionTracer:

@@ -19,9 +19,11 @@ executes*, from a daemon thread, with zero third-party dependencies
 * ``GET /spans``     — ring buffer of recently completed spans
   (``?limit=K`` trims the window).
 
-The server only ever *reads*: scrape-time state is assembled from
-lock-guarded snapshots (span tracer, watchdog) and single-field reads of
-machine counters, so the simulation thread never blocks on a scrape.
+Scrape-time state is assembled from lock-guarded snapshots (span tracer,
+watchdog) and single-field reads of machine counters, which never make
+the simulation thread wait. The one exception is the congestion tracer:
+reading its figures folds its buffered messages into its load grid under
+the tracer's lock, so the simulation thread waits at most one fold.
 """
 
 from __future__ import annotations
