@@ -8,24 +8,22 @@
   ``Θ(n^{3/2})`` energy and ``O(log² n)`` depth, matching the paper's
   "sorting takes Θ(n^{3/2}) energy and poly-logarithmic depth".
 
-Sorting is deliberately *not* used by the light-first layout pipeline
-(§IV), which the paper stresses must avoid sorting to reach near-linear
-energy for its message kernels — but the pipeline's final embedding step is
-a permutation, and the PRAM baselines lean on sort, so both live here.
+The paper's message kernels avoid sorting to reach near-linear energy.
+The light-first layout pipeline (§IV) sorts once, to order children by
+subtree size, and ends with a permutation, so both live here.
 
 Engine coverage: all three entry points route their bulk data movement
 through :meth:`~repro.machine.SpatialMachine.send_batch` /
 :meth:`~repro.machine.SpatialMachine.send_plan`, so under
 ``engine="batched"`` the Θ(n^{3/2}) sort/permute pipeline runs fully
-vectorized. The compare-exchange rounds of Batcher's network depend only on
-``(m, descending)`` (and the lane count ``n`` fixed by the machine), so
-:func:`sort_network_plan` precomputes the whole round structure — partners,
-directions, real-lane message endpoints and pre-gathered distances — once
-per size and replays it as a multi-round :class:`SortNetworkPlan` with one
-clock/energy pass per round. The scalar engine keeps the original
-per-round ``send`` loop as the differential reference
-(``tests/test_routing_equivalence.py`` pins identical results, ledger
-totals, per-phase bills, depth clocks and step counts).
+vectorized. Batcher's network depends only on ``(m, descending)`` (and the
+lane count ``n`` fixed by the machine), so :func:`sort_network_plan`
+precomputes its charged messages — real-lane endpoints, round offsets and
+pre-gathered distances — once per size as a :class:`SortNetworkPlan`, and
+:func:`charge_sort_network` sends it under either engine. The sort's
+result comes from one stable host sort; the model charges messages, not
+host arithmetic. ``tests/test_sort_network.py`` checks the plan against an
+independent enumeration of the network's rounds.
 """
 
 from __future__ import annotations
@@ -82,22 +80,17 @@ def scatter(machine: SpatialMachine, src_ids: np.ndarray, dst_ids: np.ndarray,
 
 @dataclass(frozen=True)
 class SortNetworkPlan:
-    """Precomputed replay of Batcher's bitonic network for one lane count.
+    """Precomputed charge of Batcher's bitonic network for one lane count.
 
     The network's compare-exchange structure is a pure function of
     ``(m, descending)``: round ``(k, j)`` pairs lane ``i`` with ``i ^ j``
     and compares ascending iff bit ``k`` of the lower lane is clear. The
-    *local* exchange arithmetic needs no stored arrays at all — partners
-    are bit-``j`` neighbours, so each round's lanes fold into a strided
-    ``(m/2j, 2, j)`` view and the comparator direction is a per-block
-    pattern (see :func:`_run_network_batched`); virtual sentinel lanes
-    resolve locally like any other. What the plan stores is the *charged*
-    message replay — ``msg_src``/``msg_dst`` with pre-gathered per-message
-    distances ``msg_dist`` and CSR round offsets ``msg_rounds``: two
-    dependency rounds per network round (lower→upper, then upper→lower),
-    restricted to exchanges whose both lanes are real processors (``< n``).
-    Virtual exchanges charge nothing, exactly like the scalar reference
-    path.
+    plan stores the network's messages: ``msg_src``/``msg_dst`` with
+    pre-gathered per-message distances ``msg_dist`` and CSR round offsets
+    ``msg_rounds``, two dependency rounds per network round (lower→upper,
+    then upper→lower), restricted to exchanges whose both lanes are real
+    processors (``< n``). A lane ``≥ n`` has no processor, so an exchange
+    that touches one charges nothing.
 
     Each message round is EREW by construction (a lane sits in exactly one
     comparator per round), and consecutive rounds are mirrored pairs over
@@ -189,31 +182,20 @@ def _build_sort_network_plan(machine: SpatialMachine, m: int, descending: bool) 
     )
 
 
-def _run_network_batched(
-    machine: SpatialMachine,
-    plan: SortNetworkPlan,
-    ext: np.ndarray,
-    idx_payload: np.ndarray,
-) -> None:
-    """Replay a cached plan: charge every round in one vectorized batch,
-    then run the (charge-free) compare-exchange arithmetic per round.
+def charge_sort_network(machine: SpatialMachine, *, descending: bool = False) -> SortNetworkPlan:
+    """Charge one full pass of Batcher's network and return its plan.
 
-    The charged messages are payload-free — the scalar reference sends the
-    evolving lane values, but accounting never depends on the payload (the
-    same convention as the batched virtual reduce).
-
-    The local exchange exploits the network's structure instead of gather
-    arrays: round ``(k, j)`` pairs lane ``i`` with ``i ^ j``, so folding
-    the lanes into a ``(m/2j, 2, j)`` view puts every comparator's lower
-    lane at ``[:, 0, :]`` and upper lane at ``[:, 1, :]`` (bit ``j`` of
-    the lane index is exactly the middle axis), and the direction bit
-    ``(lo & k) == 0`` is constant per block row. All reads/writes are
-    strided views — no index arrays at all.
+    Sends the machine's cached :class:`SortNetworkPlan` through one
+    :meth:`~repro.machine.SpatialMachine.send_plan`: the batched engine
+    replays it with the paired clock kernel, the scalar engine falls back
+    to one validated :meth:`~repro.machine.SpatialMachine.send` per round.
+    The messages carry no payload, since accounting never depends on it.
+    The ``plan_ref`` lets a workload-plan recorder store this send as a
+    reference into the plan cache instead of materializing the
+    Θ(n log² n)-message arrays into the artifact.
     """
+    plan = sort_network_plan(machine, descending=descending)
     if plan.messages:
-        # the plan_ref lets a workload-plan recorder store this replay as a
-        # reference into the machine's plan cache instead of materializing
-        # the Θ(n log² n)-message arrays into the artifact
         machine.send_plan(
             plan.msg_src,
             plan.msg_dst,
@@ -224,75 +206,7 @@ def _run_network_batched(
             paired=True,
             plan_ref=("sort_network", plan.m, plan.descending),
         )
-    m = plan.m
-    descending = plan.descending
-    with machine.profile_kernel("sort_network.exchange"):
-        k = 2
-        while k <= m:
-            j = k // 2
-            while j >= 1:
-                ev = ext.reshape(m // (2 * j), 2, j)
-                pv = idx_payload.reshape(m // (2 * j), 2, j)
-                a, b = ev[:, 0, :], ev[:, 1, :]
-                # lower-lane index of block row g is g·2j + t with t < j ≤ k/2,
-                # so (lo & k) == 0 depends on the row alone
-                up = (np.arange(m // (2 * j), dtype=np.int64) * (2 * j) & k) == 0
-                if descending:
-                    up = ~up
-                swap = np.where(up[:, None], a > b, a < b)
-                ta = np.where(swap, b, a)
-                b[...] = np.where(swap, a, b)
-                a[...] = ta
-                pa, pb = pv[:, 0, :], pv[:, 1, :]
-                tp = np.where(swap, pb, pa)
-                pb[...] = np.where(swap, pa, pb)
-                pa[...] = tp
-                j //= 2
-            k *= 2
-
-
-def _run_network_scalar(
-    machine: SpatialMachine,
-    ext: np.ndarray,
-    idx_payload: np.ndarray,
-    m: int,
-    n: int,
-    descending: bool,
-) -> None:
-    """The scalar reference: recompute each round and pay one ``send`` per
-    direction — kept verbatim (independent of the plan cache) so the
-    differential suite can catch plan-construction bugs."""
-    with machine.profile_kernel("sort_network.scalar"):
-        k = 2
-        while k <= m:
-            j = k // 2
-            while j >= 1:
-                i = np.arange(m, dtype=np.int64)
-                partner = i ^ j
-                lower = i < partner
-                # direction of each comparator: ascending iff bit k of i is 0
-                up = (i & k) == 0
-                if descending:
-                    up = ~up
-                lo = i[lower]
-                hi = partner[lower]
-                # charge only exchanges where both lanes are real processors
-                real = (lo < n) & (hi < n)
-                if real.any():
-                    rl, rh = lo[real], hi[real]
-                    machine.send(rl, rh, ext[rl])
-                    machine.send(rh, rl, ext[rh])
-                a = ext[lo]
-                b = ext[hi]
-                pa = idx_payload[lo]
-                pb = idx_payload[hi]
-                swap = np.where(up[lower], a > b, a < b)
-                ext[lo] = np.where(swap, b, a)
-                ext[hi] = np.where(swap, a, b)
-                idx_payload[lo] = np.where(swap, pb, pa)
-                idx_payload[hi] = np.where(swap, pa, pb)
-                j //= 2
-            k *= 2
+    return plan
 
 
 @cost_contract(energy="sort_network_energy", depth="sort_network_depth", phase="bitonic_sort", plan_safe=True)
@@ -303,23 +217,21 @@ def bitonic_sort(
     *,
     descending: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sort ``keys`` (with optional same-shape ``payload``) across processors.
+    """Sort ``keys`` (with optional ``payload`` rows) across processors.
 
     Batcher's bitonic sorting network executed over curve-index space.
     Every compare-exchange is two messages between the partners, so the
-    measured energy is ``Θ(n^{3/2})`` and the depth ``O(log² n)``.
+    measured energy is ``Θ(n^{3/2})`` and the depth ``O(log² n)``. A
+    non-power-of-two size runs the network on the next power of two; a
+    lane ``≥ n`` has no processor, so an exchange that touches one charges
+    nothing.
 
-    Non-power-of-two sizes are handled by virtual padding with sentinel
-    keys: exchanges with a virtual partner are resolved locally (the
-    sentinel always loses/wins deterministically) and charge nothing, which
-    matches running the network on the next power of two with the padded
-    lanes optimized out.
-
-    Under ``engine="batched"`` the network replays a cached
-    :class:`SortNetworkPlan` through one multi-round
-    :meth:`~repro.machine.SpatialMachine.send_plan`; the scalar engine runs
-    the original per-round ``send`` loop. Both produce identical sorted
-    output, payload provenance, energy, depth, messages and step counts.
+    The model bills the network's messages, not its host arithmetic, so
+    the network is charged by :func:`charge_sort_network` (one call on
+    either engine) and the result comes from one stable host sort. Ties
+    keep their input order, ascending and descending, and each ``payload``
+    row follows its key. The sorted keys are those any sorting network
+    outputs.
     """
     keys = np.asarray(keys)
     n = machine.n
@@ -329,24 +241,13 @@ def bitonic_sort(
         payload = np.asarray(payload)
         if payload.shape[0] != n:
             raise ValidationError("payload must have one row per processor")
-    m = next_power_of_two(n)
     if not np.issubdtype(keys.dtype, np.integer):
         raise ValidationError("bitonic_sort sorts integer keys (the library's use case)")
-    sentinel = np.iinfo(keys.dtype).max if not descending else np.iinfo(keys.dtype).min
-    ext = np.full(m, sentinel, dtype=keys.dtype)
-    ext[:n] = keys
-    idx_payload = np.arange(m, dtype=np.int64)  # track provenance for payload
-
-    if machine.engine == "batched":
-        plan = sort_network_plan(machine, descending=descending)
-        _run_network_batched(machine, plan, ext, idx_payload)
+    charge_sort_network(machine, descending=descending)
+    if descending:
+        # a stable ascending sort of the reversed keys, read backwards, is
+        # descending with ties in input order (negation would overflow)
+        order = (n - 1 - np.argsort(keys[::-1], kind="stable"))[::-1]
     else:
-        _run_network_scalar(machine, ext, idx_payload, m, n, descending)
-
-    sorted_keys = ext[:n]
-    if payload is None:
-        return sorted_keys, None
-    src = idx_payload[:n]
-    if (src >= n).any():  # pragma: no cover - sentinels sort past real keys
-        raise ValidationError("internal: sentinel lane leaked into the real prefix")
-    return sorted_keys, payload[src]
+        order = np.argsort(keys, kind="stable")
+    return keys[order], None if payload is None else payload[order]

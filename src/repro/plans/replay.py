@@ -40,7 +40,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.machine.machine import SpatialMachine
-from repro.machine.routing import sort_network_plan
+from repro.machine.routing import charge_sort_network
 from repro.plans.recorder import (
     EpochOp,
     PhaseEnterOp,
@@ -117,9 +117,10 @@ def _resolve_sort_network(machine: SpatialMachine, op: PlanRefOp) -> None:
     """Re-issue a sort-network send stored by reference.
 
     The network is a pure function of ``(m, descending)`` and the machine
-    placement, so rebuilding it through the machine's plan cache recreates
-    the exact arrays the recorder chose not to materialize. The recorded
-    totals double as a consistency check.
+    placement, so :func:`~repro.machine.routing.charge_sort_network`
+    rebuilds the exact arrays the recorder chose not to materialize, through
+    the machine's plan cache. The recorded totals double as a consistency
+    check on the charged network.
     """
     m, descending = op.params
     if int(m) != next_power_of_two(machine.n):
@@ -127,18 +128,13 @@ def _resolve_sort_network(machine: SpatialMachine, op: PlanRefOp) -> None:
             f"sort-network reference wants m={m} lanes but the replay machine "
             f"has n={machine.n} processors (m must be next_power_of_two(n))"
         )
-    net = sort_network_plan(machine, descending=bool(descending))
+    net = charge_sort_network(machine, descending=bool(descending))
     if net.messages != op.messages or int(net.msg_dist.sum()) != op.energy:
         raise PlanDivergenceError(
             f"rebuilt sort network disagrees with the recorded reference "
             f"({net.messages} msgs / {int(net.msg_dist.sum())} energy vs "
             f"recorded {op.messages} / {op.energy})"
         )
-    machine.send_plan(
-        net.msg_src, net.msg_dst, None,
-        rounds=net.msg_rounds, dist=net.msg_dist,
-        exclusive=True, paired=True,
-    )
 
 
 #: plan-reference resolvers by family; extensible by other cached plans

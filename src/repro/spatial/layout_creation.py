@@ -11,10 +11,11 @@ measured cost of getting there. The pipeline is the paper's, step by step:
 2. Subtree sizes from the tour: ``s(v) = (rank(up_v) − rank(down_v) + 1)/2``
    — a local computation at each child's processor.
 3. Children re-ordered by increasing subtree size. Keys ``(parent, s(c),
-   c)`` are sorted with the machine's bitonic sort (the Θ(n^{3/2}) budget
-   item), and each record's new neighbours are announced back to the
-   children, which rebuilds the tour's successor pointers in light-first
-   child order.
+   c)`` are packed into one integer and sorted with the machine's bitonic
+   sort (the Θ(n^{3/2}) budget item); the children, in sorted order, are
+   the sorted keys' low digits. Each record's new neighbours are announced
+   back to the children, which rebuilds the tour's successor pointers in
+   light-first child order.
 4. The light-first tour is ranked again; the first occurrence of each
    vertex (its down-edge rank, counted among down-edges via a parallel
    prefix sum over the tour order) is its light-first position.
@@ -123,9 +124,9 @@ def create_light_first_layout(
     processor), defaulting to the identity. The returned layout is verified
     to satisfy the §III-A light-first definition. ``engine`` selects the
     machine's messaging engine; both produce identical layouts and
-    identical energy/depth/message/step accounting (the batched engine
-    replays a cached sort-network plan for the child-sort phase and runs
-    the remaining phases through ``send_batch``).
+    identical energy/depth/message/step accounting (both charge the
+    child-sort phase from a cached sort-network plan and run the remaining
+    phases through ``send_batch``).
 
     ``machine`` optionally reuses a same-size machine from a previous run:
     costs are reset but its plan cache (notably the bitonic sort network)
@@ -182,17 +183,17 @@ def create_light_first_layout(
         key = (tree.parents[nonroot] * n + (sizes[nonroot] - 1)) * n + nonroot
         keys_full = np.full(machine.n, np.iinfo(np.int64).max, dtype=np.int64)
         keys_full[proc[nonroot]] = key
-        bitonic_sort(machine, keys_full)
-        # after the sort, record j sits at processor j; each record tells
-        # its left neighbour who it is (defining next-sibling links), then
-        # every record carries its link home to the child's processor
+        sorted_keys, _ = bitonic_sort(machine, keys_full)
+        # after the sort, record j sits at processor j and names its child
+        # in the key's low digit; each record tells its left neighbour who
+        # it is (defining next-sibling links), then every record carries
+        # its link home to the child's processor
+        sorted_children = sorted_keys[: n - 1] % n
         if n > 2:
             machine.send_batch(
                 np.arange(1, n - 1, dtype=np.int64),
                 np.arange(0, n - 2, dtype=np.int64),
             )
-        order_sorted = np.argsort(key, kind="stable")
-        sorted_children = nonroot[order_sorted]
         machine.send_batch(
             np.arange(len(sorted_children), dtype=np.int64), proc[sorted_children]
         )

@@ -1,12 +1,20 @@
-"""Edge cases of the cached bitonic sort network (PR 5 tentpole).
+"""The bitonic sort network: its cached plan, its charge and its result.
 
+* Oracle: :func:`network_rounds` enumerates Batcher's ``(k, j)`` rounds
+  independently of the plan builder. The cached plan's messages must be
+  exactly its real-lane pairs, its compare-exchange must sort, and one
+  ``send`` per direction per round must bill exactly what ``bitonic_sort``
+  bills on both engines.
 * Cache: the second same-size sort replays the stored plan without
   rebuilding the network (pinned by monkeypatching the builder away).
 * Round count: Batcher's network has exactly log2(m)·(log2(m)+1)/2
   compare-exchange rounds — the O(log² m) depth regression guard.
-* Sentinel accounting: virtual padding lanes (ids ≥ n) never appear in
-  charged messages; a virtual exchange costs nothing on either engine.
-* Payload provenance survives duplicate keys identically on both engines.
+* Virtual lanes: lane ids ≥ n never appear in charged messages; an
+  exchange with a virtual lane costs nothing on either engine.
+* Result: a stable host sort, so ties keep their input order and keys
+  at the integer extremes sort like any other.
+* Child sort: §IV's child-sort phase bills one network pass plus its two
+  announce rounds, no more and no less.
 """
 
 import numpy as np
@@ -18,6 +26,8 @@ from repro.machine import (
     sort_network_plan,
 )
 from repro.machine.routing import _build_sort_network_plan
+from repro.spatial.layout_creation import create_light_first_layout
+from repro.trees import prufer_random_tree, star_tree
 from repro.utils import next_power_of_two
 
 ENGINES = ("scalar", "batched")
@@ -27,6 +37,114 @@ def batcher_rounds(m: int) -> int:
     """Σ_{k=1..log2(m)} k — the bitonic network's round count."""
     stages = int(np.log2(m)) if m > 1 else 0
     return stages * (stages + 1) // 2
+
+
+def network_rounds(m: int, descending: bool = False):
+    """Batcher's bitonic network on ``m`` lanes, one round at a time.
+
+    Yields ``(lo, hi, up)`` per round ``(k, j)``: the lower and upper lane
+    of every comparator (partners differ in bit ``j``) and whether it
+    compares ascending (bit ``k`` of the lower lane clear, flipped when
+    ``descending``).
+    """
+    k = 2
+    while k <= m:
+        j = k // 2
+        while j >= 1:
+            i = np.arange(m, dtype=np.int64)
+            partner = i ^ j
+            lower = i < partner
+            up = (i & k) == 0
+            if descending:
+                up = ~up
+            yield i[lower], partner[lower], up[lower]
+            j //= 2
+        k *= 2
+
+
+def real_pairs(m: int, n: int):
+    """Per round, the comparators whose lanes are both processors."""
+    for lo, hi, _ in network_rounds(m):
+        real = (lo < n) & (hi < n)
+        yield lo[real], hi[real]
+
+
+def run_network(keys: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The network's compare-exchange on the host: sorted keys, provenance.
+
+    Lanes ``≥ len(keys)`` hold ±inf, which sorts past every real key.
+    """
+    n = len(keys)
+    m = next_power_of_two(n)
+    lanes = np.full(m, -np.inf if descending else np.inf)
+    lanes[:n] = keys
+    prov = np.arange(m)
+    for lo, hi, up in network_rounds(m, descending):
+        a, b = lanes[lo], lanes[hi]
+        swap = np.where(up, a > b, a < b)
+        lanes[lo], lanes[hi] = np.where(swap, b, a), np.where(swap, a, b)
+        pa, pb = prov[lo], prov[hi]
+        prov[lo], prov[hi] = np.where(swap, pb, pa), np.where(swap, pa, pb)
+    return lanes[:n], prov[:n]
+
+
+# --------------------------------------------------------------------- #
+# the round-enumeration oracle
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 70, 256])
+def test_plan_messages_are_the_enumerated_real_pairs(n, descending):
+    machine = SpatialMachine(n, engine="batched")
+    plan = sort_network_plan(machine, descending=descending)
+    src, dst, sizes = [], [], []
+    for lo, hi in real_pairs(plan.m, n):
+        if len(lo):
+            src += [lo, hi]
+            dst += [hi, lo]
+            sizes += [len(lo), len(lo)]
+    assert plan.m == next_power_of_two(n)
+    assert plan.rounds == sum(1 for _ in network_rounds(plan.m))
+    assert np.array_equal(plan.msg_src, np.concatenate([np.empty(0, np.int64), *src]))
+    assert np.array_equal(plan.msg_dst, np.concatenate([np.empty(0, np.int64), *dst]))
+    assert np.array_equal(plan.msg_rounds, np.cumsum([0, *sizes]))
+    assert np.array_equal(plan.msg_dist, machine.manhattan(plan.msg_src, plan.msg_dst))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 70, 256])
+def test_enumerated_network_sorts(n, descending):
+    """The charged rounds form a sorting network: run on random keys with
+    duplicates, the enumerated compare-exchange sorts them."""
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, max(2, n // 4), size=n)
+    out, prov = run_network(keys.astype(np.float64), descending)
+    expect = np.sort(keys)[::-1] if descending else np.sort(keys)
+    assert np.array_equal(out, expect)
+    assert np.array_equal(np.sort(prov), np.arange(n))
+    assert np.array_equal(keys[prov], expect)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("n", [2, 5, 16, 33, 70])
+def test_per_round_sends_bill_like_bitonic_sort(n, descending):
+    """One ``send`` per direction per enumerated round, on a scalar
+    machine, is the reference bill for ``bitonic_sort`` on both engines."""
+    ref = SpatialMachine(n, engine="scalar")
+    with ref.phase("bitonic_sort"):
+        for lo, hi in real_pairs(next_power_of_two(n), n):
+            if len(lo):
+                ref.send(lo, hi)
+                ref.send(hi, lo)
+    keys = np.random.default_rng(n).integers(0, 9, size=n)
+    for engine in ENGINES:
+        m = SpatialMachine(n, engine=engine)
+        bitonic_sort(m, keys, descending=descending)
+        assert np.array_equal(m.clock, ref.clock)
+        assert m.ledger.summary() == ref.ledger.summary()
+        assert m.snapshot() == ref.snapshot()
+        assert m.steps == ref.steps
 
 
 # --------------------------------------------------------------------- #
@@ -96,32 +214,18 @@ def test_round_count_non_power_of_two(n):
 
 
 # --------------------------------------------------------------------- #
-# sentinel-lane exclusion
+# virtual-lane exclusion
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7, 9, 13, 33])
 def test_virtual_exchanges_charge_nothing(n):
     """Charged messages must exactly match the count of real-real
-    comparator pairs, computed by an independent reference enumeration."""
+    comparator pairs of the independent enumeration."""
     machine = SpatialMachine(n, engine="batched")
     plan = sort_network_plan(machine)
-    # independent reference: walk Batcher's (k, j) schedule and count
-    # comparators with both endpoints < n
-    m = plan.m
-    real_pairs = 0
-    k = 2
-    while k <= m:
-        j = k // 2
-        while j >= 1:
-            i = np.arange(m)
-            partner = i ^ j
-            lo = i[(i < partner)]
-            hi = (lo ^ j)
-            real_pairs += int(np.count_nonzero((lo < n) & (hi < n)))
-            j //= 2
-        k *= 2
-    assert plan.messages == 2 * real_pairs
+    pairs = sum(len(lo) for lo, _ in real_pairs(plan.m, n))
+    assert plan.messages == 2 * pairs
     assert (plan.msg_src < n).all() and (plan.msg_dst < n).all()
     # and the measured message total agrees on both engines
     keys = np.arange(n, dtype=np.int64)[::-1].copy()
@@ -130,7 +234,7 @@ def test_virtual_exchanges_charge_nothing(n):
         mm = SpatialMachine(n, engine=engine)
         bitonic_sort(mm, keys.copy())
         counts[engine] = mm.messages
-    assert counts["scalar"] == counts["batched"] == 2 * real_pairs
+    assert counts["scalar"] == counts["batched"] == 2 * pairs
 
 
 def test_singleton_sort_charges_nothing():
@@ -152,8 +256,14 @@ def test_plan_builder_matches_cached_plan():
 
 
 # --------------------------------------------------------------------- #
-# payload provenance under duplicate keys
+# the result: a stable sort
 # --------------------------------------------------------------------- #
+
+
+def stable_order(keys: np.ndarray, descending: bool) -> np.ndarray:
+    """Indices of ``keys`` in sorted order, ties in input order."""
+    sign = -1 if descending else 1
+    return np.array(sorted(range(len(keys)), key=lambda i: sign * int(keys[i])))
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -173,4 +283,54 @@ def test_payload_provenance_with_duplicate_keys(descending):
     # provenance: the payload entry is the original index of its key, so
     # gathering keys through it must reproduce the sorted output exactly
     assert np.array_equal(keys[ps], ks)
-    assert np.array_equal(np.sort(ps), np.arange(n))  # a permutation
+    # and ties keep their input order
+    assert np.array_equal(ps, stable_order(keys, descending))
+
+
+EXTREME_KEYS = [
+    # a key at the far end of the sort order for its dtype and direction
+    pytest.param(np.int64, np.iinfo(np.int64).max, False, id="int64-max-ascending"),
+    pytest.param(np.int64, np.iinfo(np.int64).min, True, id="int64-min-descending"),
+    pytest.param(np.uint64, 0, True, id="uint64-zero-descending"),
+]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("dtype,extreme,descending", EXTREME_KEYS)
+def test_extreme_keys_sort_on_non_power_of_two_sizes(engine, dtype, extreme, descending):
+    keys = np.array([extreme, 3, extreme, 1, 2], dtype=dtype)
+    payload = np.arange(5, dtype=np.int64)
+    m = SpatialMachine(5, engine=engine)
+    out, prov = bitonic_sort(m, keys, payload, descending=descending)
+    order = stable_order(keys, descending)
+    assert out.dtype == keys.dtype
+    assert np.array_equal(out, keys[order])
+    assert np.array_equal(prov, order)
+
+
+# --------------------------------------------------------------------- #
+# §IV child sort: one network pass plus two announce rounds
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("n", [1000, 1024])
+@pytest.mark.parametrize("make_tree", [
+    pytest.param(lambda n: prufer_random_tree(n, seed=4), id="prufer"),
+    pytest.param(star_tree, id="star"),
+])
+def test_child_sort_bills_one_network_pass(make_tree, n, engine):
+    tree = make_tree(n)
+    res = create_light_first_layout(tree, seed=4, engine=engine)
+    bill = res.phases["child_sort"]
+    plan = sort_network_plan(SpatialMachine(n, engine=engine))
+    # the announce rounds: each sorted record tells its left neighbour who
+    # it is, then carries its link home to the child (identity placement)
+    nonroot = np.flatnonzero(tree.parents >= 0)
+    sizes = tree.subtree_sizes()
+    children = nonroot[np.lexsort((nonroot, sizes[nonroot], tree.parents[nonroot]))]
+    announce = SpatialMachine(n, engine=engine)
+    announce.send_batch(np.arange(1, n - 1), np.arange(0, n - 2))
+    announce.send_batch(np.arange(n - 1), children)
+    assert bill["energy"] == int(plan.msg_dist.sum()) + announce.energy
+    assert bill["messages"] == plan.messages + announce.messages
