@@ -145,6 +145,14 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
                         "(memory relief on long runs)")
 
 
+def _watchdog_stride(text: str) -> int:
+    """``--watchdog-sample`` value: a phase stride, 0 disabling the watchdog."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 disables), got {k}")
+    return k
+
+
 def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--serve-telemetry", metavar="PORT", type=int, default=None,
                    help="serve live telemetry over HTTP while the run executes: "
@@ -153,9 +161,10 @@ def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--span-log", metavar="PATH", default=None,
                    help="stream hierarchical spans (workload → phase → batch → "
                         "round) to a JSONL file")
-    p.add_argument("--watchdog-sample", type=int, default=4, metavar="K",
+    p.add_argument("--watchdog-sample", type=_watchdog_stride, default=4, metavar="K",
                    help="engine-divergence watchdog: re-verify every K-th phase "
-                        "against the scalar oracle (0 disables; default 4)")
+                        "through a clock kernel independent of the one that "
+                        "charged it (0 disables; default 4)")
     p.add_argument("--telemetry-hold", type=float, default=0.0, metavar="SEC",
                    help="keep the telemetry server answering this many seconds "
                         "after the run finishes (scrape grace period for CI or "
@@ -196,8 +205,8 @@ def _telemetry_summary(session) -> None:
     if session.watchdog is not None:
         snap = session.watchdog.snapshot()
         verdict = "clean" if snap["clean"] else f"{snap['alerts']} ALERTS"
-        print(f"[watchdog: {snap['checks']} phases re-verified against the "
-              f"scalar oracle, {verdict}]")
+        print(f"[watchdog: {snap['checks']} phases re-verified by an "
+              f"independent clock kernel, {verdict}]")
     if session.span_log is not None:
         print(f"[span log saved to {session.span_log}]")
 
@@ -1531,7 +1540,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "SIGTERM/SIGINT)")
     p.add_argument("--span-log", metavar="PATH", default=None,
                    help="stream serving-window spans to a JSONL file")
-    p.add_argument("--watchdog-sample", type=int, default=8, metavar="K",
+    p.add_argument("--watchdog-sample", type=_watchdog_stride, default=8, metavar="K",
                    help="engine-divergence watchdog stride over served "
                         "phases (0 disables; default 8)")
     p.set_defaults(fn=cmd_serve)

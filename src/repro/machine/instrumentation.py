@@ -81,6 +81,11 @@ class StepEvent:
         batch's sequential dependency rounds. Round ``r`` is the slice
         ``rounds[r]:rounds[r+1]``; the scalar engine would have charged it
         as its own step with index ``step + r``. Read-only view.
+    hint:
+        The plan shape :meth:`SpatialMachine.send_plan` trusted for this
+        batch, which picked its clock kernel: ``"paired"``, ``"exclusive"``
+        or ``"occ"``. ``None`` for unhinted batches and all ``send`` and
+        scalar-engine events.
     wall_ns:
         Host wall-clock nanoseconds the engine spent processing this bulk
         send, or ``None`` when no
@@ -105,6 +110,7 @@ class StepEvent:
     payload: np.ndarray | None = None
     combiner: str | None = None
     rounds: np.ndarray | None = None
+    hint: str | None = None
     wall_ns: int | None = None
 
     @property

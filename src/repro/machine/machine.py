@@ -365,6 +365,14 @@ def advance_clocks_batch(
     return BatchClockAdvance(rounds=rounds, max_clock=max_clock)
 
 
+def ran_general_kernel(event: StepEvent) -> bool:
+    """Whether the batched engine ran some round of ``event`` through
+    :func:`_advance_round`: an unhinted batch with a round longer than
+    ``_SMALL_ROUND`` messages (see :func:`advance_clocks_batch`)."""
+    rounds = event.rounds
+    return rounds is not None and event.hint is None and bool((np.diff(rounds) > _SMALL_ROUND).any())
+
+
 class PlanRecorderHook(Protocol):
     """What the machine needs from an attached workload-plan recorder.
 
@@ -1103,6 +1111,7 @@ class SpatialMachine:
                 payload=payload,
                 combiner=combiner,
                 rounds=ev_off,
+                hint="paired" if paired else "exclusive" if exclusive else "occ" if src_occ is not None else None,
                 wall_ns=(wp.clock() - t0) if wp is not None else None,
             )
             if wp is not None:

@@ -12,8 +12,8 @@ workloads (ROADMAP Open item 2). Three pillars, each usable alone:
   ``/health``, ``/progress`` and ``/spans`` while the run executes.
 * :mod:`repro.telemetry.watchdog` — :class:`DivergenceWatchdog`, a
   sampling shadow executor that replays every k-th phase's message rounds
-  through the scalar reference kernel and alerts on any live
-  energy/messages/depth/steps divergence.
+  through a clock kernel independent of the one that charged them and
+  alerts on any live energy/messages/depth/steps divergence.
 
 :class:`TelemetrySession` (and the :func:`telemetry_session` helper) wires
 all three onto a machine as one context manager — the CLI's

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+from repro.errors import ValidationError
 from repro.telemetry.server import DEFAULT_HOST, TelemetryServer
 from repro.telemetry.spans import SpanTracer
 from repro.telemetry.watchdog import DivergenceWatchdog
@@ -48,8 +49,8 @@ class TelemetrySession:
     span_log:
         Stream completed spans to this JSONL path.
     watchdog_sample:
-        Shadow-oracle sampling stride (every k-th phase); ``0`` disables
-        the watchdog.
+        Shadow-replay sampling stride (every k-th phase); ``0`` disables
+        the watchdog, a negative stride raises ``ValidationError``.
     workload / planned_phases:
         Root-span name and expected top-level phase count (for
         ``/progress`` percentages).
@@ -84,6 +85,8 @@ class TelemetrySession:
         ring: int = 1024,
         extra_publishers=(),
     ) -> None:
+        if watchdog_sample < 0:
+            raise ValidationError(f"watchdog sample must be >= 0, got {watchdog_sample}")
         self.machine = machine
         self.hold = float(hold)
         self.span_log = Path(span_log) if span_log is not None else None

@@ -1,10 +1,11 @@
-"""In-flight engine-divergence watchdog: a sampling shadow scalar oracle.
+"""In-flight engine-divergence watchdog: a sampling shadow replay.
 
 The offline differential suite (``tests/test_engine_equivalence.py``) pins
 the batched engine to the scalar reference — but only at test time, on test
 inputs. This instrument turns that check into *continuous* observability:
-while a workload executes, every ``sample``-th phase is re-verified against
-the scalar oracle, live, on the production input.
+while a workload executes, every ``sample``-th phase is re-verified live, on
+the production input, through a clock kernel independent of the one that
+charged it.
 
 How the shadow works
 --------------------
@@ -12,18 +13,26 @@ At the enter of a sampled phase the watchdog snapshots the machine's
 dependency clocks (O(n) copy — sampling amortizes it). During the phase it
 records every charged :class:`~repro.machine.instrumentation.StepEvent`'s
 endpoint arrays and round offsets. At the matching exit it *replays* those
-rounds through :func:`repro.machine.machine.advance_clocks` — the scalar
-engine's reference kernel, the definitionally-correct accounting — on the
-snapshot, recomputing distances from the machine's own geometry, and
-compares four figures against what the live engine charged:
+rounds on the snapshot and compares four figures against what the live
+engine charged:
 
-* **energy** — recomputed ``Σ manhattan(src, dst)`` vs the events' charged
-  energy (catches corrupted cached-plan distances and bad fused kernels);
+* **energy** — ``Σ manhattan(src, dst)`` recomputed from the machine's own
+  geometry (one call per event) vs the events' charged energy (catches
+  corrupted cached-plan distances and bad fused kernels);
 * **messages** — replayed endpoint count vs charged count;
-* **depth** — reference clock replay vs the machine's live depth clock
-  (catches bugs in the batched engine's O(k) fast-path clock kernels,
-  which are *trusted* hints on the hot path);
+* **depth** — the shadow clock replay vs the machine's live depth clock
+  (catches bugs in the clock kernels, including the batched engine's O(k)
+  fast paths, which run on *trusted* hints on the hot path);
 * **steps** — replayed non-empty round count vs the live step counter.
+
+Depth is a property of the message DAG, so any correct clock kernel may
+replay a round, as long as it is not the one that charged it. Every round
+replays through the hint-free :func:`~repro.machine.machine._advance_round`
+unless some event of the phase ran that kernel
+(:func:`~repro.machine.machine.ran_general_kernel`); then the whole phase
+replays through :func:`~repro.machine.machine.advance_clocks`. Choosing per
+round instead would let one ``_advance_round`` bug skew a live general
+round and the replay of a small round alike, cancelling in the depth max.
 
 Any mismatch increments ``repro_divergence_alerts_total``, records a
 finding, and emits an ``alert`` span through the attached
@@ -31,14 +40,8 @@ finding, and emits an ``alert`` span through the attached
 ``repro_divergence_checks_total`` — a live heartbeat that the equivalence
 property still holds on this very run.
 
-The watchdog is engine-agnostic: under ``engine="scalar"`` the replay is
-trivially identical (same kernel, same state), so it doubles as a
-self-test of the event stream; under ``engine="batched"`` it is a true
-cross-engine differential check.
-
-``_inject_energy`` / ``_inject_depth`` perturb the *observed* side of the
-comparison — test hooks that simulate a corrupted engine so the alert path
-itself stays verified (used by the test suite and nothing else).
+The kernels are bound at import, so harnesses that wrap the machine
+module's kernels by name count only the live engine's rounds.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.machine.instrumentation import Instrument, StepEvent
-from repro.machine.machine import advance_clocks
+from repro.machine.machine import _advance_round, advance_clocks, ran_general_kernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.spans import SpanTracer
@@ -58,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass
 class DivergenceFinding:
-    """One detected mismatch between the live engine and the shadow oracle."""
+    """One detected mismatch between the live engine and the shadow replay."""
 
     phase: str
     dimension: str  # "energy" | "messages" | "depth" | "steps"
@@ -87,6 +90,8 @@ class _ActiveSample:
     events: list[tuple[np.ndarray, np.ndarray, np.ndarray | None, int, int]] = field(
         default_factory=list
     )
+    #: some event ran a round through the batched general kernel
+    general: bool = False
 
 
 class DivergenceWatchdog(Instrument):
@@ -111,8 +116,6 @@ class DivergenceWatchdog(Instrument):
         sample: int = 4,
         tracer: SpanTracer | None = None,
         max_findings: int = 100,
-        _inject_energy: int = 0,
-        _inject_depth: int = 0,
     ) -> None:
         if sample < 0:
             from repro.errors import ValidationError
@@ -121,8 +124,6 @@ class DivergenceWatchdog(Instrument):
         self.sample = int(sample)
         self.tracer = tracer
         self.max_findings = int(max_findings)
-        self._inject_energy = int(_inject_energy)
-        self._inject_depth = int(_inject_depth)
         self._machine = None
         self._candidates = 0
         self._active: _ActiveSample | None = None
@@ -169,6 +170,7 @@ class DivergenceWatchdog(Instrument):
         # copy: event arrays are frozen *views* that may alias caller-owned
         # buffers mutated after the send returns
         rounds = None if event.rounds is None else np.array(event.rounds, copy=True)
+        active.general = active.general or ran_general_kernel(event)
         active.events.append(
             (
                 np.array(event.src, copy=True),
@@ -203,24 +205,24 @@ class DivergenceWatchdog(Instrument):
         shadow_depth = active.depth_enter
         observed_energy = 0
         observed_messages = 0
+        scratch = np.empty(machine.n, dtype=np.int64)
+        ar = np.arange(max((len(ev[0]) for ev in active.events), default=0))
         for src, dst, rounds, ev_energy, ev_messages in active.events:
             observed_energy += ev_energy
             observed_messages += ev_messages
-            offsets = (
-                np.array([0, len(src)], dtype=np.int64) if rounds is None else rounds
-            )
-            for r in range(len(offsets) - 1):
-                a, b = int(offsets[r]), int(offsets[r + 1])
+            shadow_energy += int(machine.manhattan(src, dst).sum())
+            offsets = [0, len(src)] if rounds is None else rounds.tolist()
+            for a, b in zip(offsets[:-1], offsets[1:]):
                 if b <= a:
                     continue
-                rs, rd = src[a:b], dst[a:b]
-                adv = advance_clocks(shadow_clock, rs, rd)
-                shadow_depth = max(shadow_depth, adv.max_clock)
-                shadow_energy += int(machine.manhattan(rs, rd).sum())
+                if active.general:
+                    m = advance_clocks(shadow_clock, src[a:b], dst[a:b]).max_clock
+                else:
+                    m = _advance_round(shadow_clock, src[a:b], dst[a:b], scratch, ar[: b - a])
+                shadow_depth = max(shadow_depth, m)
                 shadow_messages += b - a
                 shadow_steps += 1
-        observed_depth = int(machine.depth) + self._inject_depth
-        observed_energy += self._inject_energy
+        observed_depth = int(machine.depth)
         observed_steps = int(machine.steps) - active.steps_enter
         comparisons = (
             ("energy", observed_energy, shadow_energy),
@@ -288,7 +290,7 @@ class DivergenceWatchdog(Instrument):
             messages = self.messages_checked_total
         registry.counter(
             "repro_divergence_checks_total",
-            "phases re-verified against the scalar shadow oracle",
+            "phases re-verified by a clock kernel independent of the one that charged them",
         ).inc(checks)
         registry.counter(
             "repro_divergence_alerts_total",

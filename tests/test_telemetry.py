@@ -267,18 +267,14 @@ class TestWatchdog:
         assert wd.checks_total > 0 and wd.clean
 
     def test_detects_injected_energy(self):
-        tracer = SpanTracer(workload="w")
-
-        def hook(machine):
-            machine.attach(tracer)
-            machine.attach(
-                DivergenceWatchdog(sample=1, tracer=tracer, _inject_energy=7)
-            )
-
-        st = _run_treefix(n=256, engine="batched", machine_hook=hook)
-        wd = next(
-            i for i in st.machine._instruments if isinstance(i, DivergenceWatchdog)
-        )
+        # a caller whose pre-gathered distances are one too large on each
+        # of 7 messages: the batched engine charges them as given
+        m = SpatialMachine(64, engine="batched")
+        tracer = m.attach(SpanTracer(workload="w"))
+        wd = m.attach(DivergenceWatchdog(sample=1, tracer=tracer))
+        src, dst = np.arange(7), np.arange(7) + 20
+        with m.phase("overcharged"):
+            m.send_batch(src, dst, dist=m.manhattan(src, dst) + 1)
         assert not wd.clean
         assert all(f.dimension == "energy" for f in wd.findings)
         assert all(f.observed - f.expected == 7 for f in wd.findings)
@@ -287,9 +283,21 @@ class TestWatchdog:
         assert alerts and alerts[0].name.startswith("divergence:")
         assert alerts[0].args["observed"] - alerts[0].args["expected"] == 7
 
-    def test_detects_injected_depth(self):
+    def test_detects_injected_depth(self, monkeypatch):
+        import repro.machine.machine as mm
+
+        exclusive = mm._advance_round_exclusive
+
+        def late_receives(clock, src, dst):
+            # every EREW receive lands one tick late: depth only
+            exclusive(clock, src, dst)
+            clock[dst] += 1
+            return max(int(clock[src].max()), int(clock[dst].max()))
+
+        monkeypatch.setattr(mm, "_advance_round_exclusive", late_receives)
+
         def hook(machine):
-            machine.attach(DivergenceWatchdog(sample=1, _inject_depth=3))
+            machine.attach(DivergenceWatchdog(sample=1))
 
         st = _run_treefix(n=256, engine="batched", machine_hook=hook)
         wd = next(
@@ -311,6 +319,10 @@ class TestWatchdog:
     def test_negative_sample_rejected(self):
         with pytest.raises(ValidationError):
             DivergenceWatchdog(sample=-1)
+
+    def test_session_rejects_negative_sample(self):
+        with pytest.raises(ValidationError):
+            TelemetrySession(SpatialMachine(16), watchdog_sample=-1)
 
     def test_publish_counters(self):
         from repro.analysis.metrics import MetricsRegistry
@@ -524,7 +536,34 @@ class TestPlanCacheCounters:
         assert 'repro_plan_cache_misses_total{plan="sort_network"} 1' in text
 
 
+def _watchdog_commands(parser=None, prefix=()):
+    """argv prefix of every (sub)command that takes ``--watchdog-sample``."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = parser or build_parser()
+    if "--watchdog-sample" in parser._option_string_actions:
+        yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _watchdog_commands(sub, (*prefix, name))
+
+
 class TestCLI:
+    @pytest.mark.parametrize(
+        "command", sorted(_watchdog_commands()), ids=" ".join
+    )
+    def test_negative_watchdog_sample_is_a_usage_error(self, command, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--watchdog-sample", "-2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--watchdog-sample" in err and "must be >= 0" in err
+
     def test_treefix_serve_telemetry(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -542,7 +581,7 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "[telemetry serving at http://127.0.0.1:" in out
-        assert "re-verified against the scalar oracle, clean]" in out
+        assert "re-verified by an independent clock kernel, clean]" in out
         header, spans = load_span_jsonl(span_log)
         assert header["workload"] == "treefix"
         assert any(s["kind"] == "round" for s in spans)
