@@ -40,7 +40,8 @@ PLAN_METHODS = frozenset({"send_plan"})
 #: bare-name wrappers whose communication schedule is topology-fixed:
 #: collectives (doubling schedules over processor ids), the bitonic sort
 #: network (data-oblivious compare-exchange rounds), destination-sorting
-#: permutation routing, and the rank-slot local/family messaging rounds
+#: permutation routing, and the local/family messaging kernels over the
+#: cached per-tree plans
 PLAN_BACKED_CALLS = frozenset(
     {
         "barrier",
@@ -56,6 +57,8 @@ PLAN_BACKED_CALLS = frozenset(
         "local_reduce",
         "family_broadcast",
         "family_reduce",
+        "plan_broadcast",
+        "plan_reduce",
     }
 )
 #: phases known to be opened inside plan-backed wrappers (their bodies are
@@ -63,8 +66,6 @@ PLAN_BACKED_CALLS = frozenset(
 INTRINSIC_PHASES: dict[str, tuple[str, ...]] = {
     "local_broadcast": ("local_broadcast",),
     "local_reduce": ("local_reduce",),
-    "family_broadcast": ("family_broadcast",),
-    "family_reduce": ("family_reduce",),
     "bitonic_sort": ("bitonic_sort",),
     "permute": ("permute",),
 }

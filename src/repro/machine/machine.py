@@ -415,7 +415,7 @@ class PlanCache(dict):
     classified as a hit or a miss under the plan *family* — the first
     element of a tuple key (``("sort_network", m, desc)`` → family
     ``"sort_network"``), or the key itself for string keys. Consumers
-    that memoize plans elsewhere (e.g. batched messaging's
+    that memoize plans elsewhere (e.g. local messaging's
     tree-attribute plans) can report their lookups with :meth:`count`
     so one surface covers every plan cache. ``repro_plan_cache_*``
     metrics expose the counters
@@ -869,7 +869,7 @@ class SpatialMachine:
         ``dist`` (optional) is the caller-precomputed per-message distance
         under this machine's metric, aligned with ``src``/``dst``. It is a
         pure wall-clock optimization for callers that replay cached message
-        plans (the kernels in :mod:`repro.spatial.batched_messaging`): the
+        plans (the kernels in :mod:`repro.spatial.local_messaging`): the
         batched engine charges the given distances instead of recomputing
         them, the scalar engine ignores it. Callers are trusted to pass
         ``self.manhattan(src, dst)`` exactly — anything else corrupts the
@@ -950,8 +950,8 @@ class SpatialMachine:
         """Trusted replay of a cached, pre-validated message plan.
 
         Identical accounting to :meth:`send_batch`, but skips the per-call
-        endpoint validation: callers (the plan caches in
-        :mod:`repro.spatial.batched_messaging` and the treefix frontier
+        endpoint validation: callers (the plan kernels in
+        :mod:`repro.spatial.local_messaging` and the treefix frontier
         hops) guarantee ``src``/``dst`` are aligned int64 processor ids in
         range with ``src[i] != dst[i]`` everywhere, and ``rounds`` is a
         monotone CSR offset array ``[0, ..., len(src)]``. ``exclusive``

@@ -407,7 +407,6 @@ class GhostStateSanitizer(SanitizerInstrument):
         "*.positions*",
         "*._vt*",
         "*._sched*",
-        "*._children_by_rank*",
         "*._direct_plan*",
         "*._virtual_bcast_plan*",
         "*._virtual_reduce_plan*",

@@ -41,7 +41,12 @@ import numpy as np
 
 from repro.contracts import cost_contract
 from repro.errors import ConvergenceError, ValidationError
-from repro.spatial.local_messaging import family_broadcast, family_reduce
+from repro.spatial.local_messaging import (
+    family_edges,
+    family_plans,
+    plan_broadcast,
+    plan_reduce,
+)
 from repro.utils import as_index_array, ceil_log2, resolve_rng
 
 #: evaluation field: residues modulo the Mersenne prime 2^61 - 1
@@ -161,6 +166,8 @@ def evaluate_expression(st, ops, leaf_values, *, seed=None, max_rounds=None) -> 
     # =================== contraction ===================
     rounds = 0
     with st.machine.phase("expression_contract"):
+        # fetched in the phase, so a lazy virtual-tree construction bills it
+        bplan, rplan = family_plans(st, st.mode) if n > 1 else (None, None)
         while not bool(resolved[tree.root]):
             if rounds >= max_rounds:
                 raise ConvergenceError(
@@ -177,7 +184,8 @@ def evaluate_expression(st, ops, leaf_values, *, seed=None, max_rounds=None) -> 
                 heads = last[parents_u]
                 info[heads] = (nchild[parents_u] >= 2) * 2 + coins[parents_u]
                 rep_hop(parents_u)
-                received = family_broadcast(st, info, fam_mask(heads))
+                received = info.copy()
+                plan_broadcast(st.machine, bplan, family_edges(bplan, fam_mask(heads)), info, out=received)
             else:
                 received = info
 
@@ -219,7 +227,7 @@ def evaluate_expression(st, ops, leaf_values, *, seed=None, max_rounds=None) -> 
             if len(parents_u) == 0:
                 continue
             heads = last[parents_u]
-            fm = fam_mask(heads)
+            sel = family_edges(rplan, fam_mask(heads))
             contributor = active & (par >= 0) & resolved
             parent_is_add = np.zeros(n, dtype=bool)
             okp = par >= 0
@@ -230,14 +238,11 @@ def evaluate_expression(st, ops, leaf_values, *, seed=None, max_rounds=None) -> 
             add_vals = np.where(contributor & parent_is_add, value, 0).astype(object)
             mul_vals = np.where(contributor & ~parent_is_add, value, 1).astype(object)
             rep_hop(parents_u)
-            sum_red = family_reduce(st, add_vals, fm, op=_addmod, identity=0)
-            prod_red = family_reduce(st, mul_vals, fm, op=_mulmod, identity=1)
-            cnt_red = family_reduce(st, contributor.astype(np.int64), fm)
-            big = np.int64(np.iinfo(np.int64).max)
-            wit = family_reduce(
-                st,
-                np.where(active & (par >= 0) & ~resolved, ids, _NONE),
-                fm,
+            sum_red = plan_reduce(st.machine, rplan, sel, add_vals, op=_addmod, identity=0)
+            prod_red = plan_reduce(st.machine, rplan, sel, mul_vals, op=_mulmod, identity=1)
+            cnt_red = plan_reduce(st.machine, rplan, sel, contributor.astype(np.int64), op=np.add)
+            wit = plan_reduce(
+                st.machine, rplan, sel, np.where(active & (par >= 0) & ~resolved, ids, _NONE),
                 op=lambda a, b: np.where(a == _NONE, b, np.where(b == _NONE, a, -2)),
                 identity=_NONE,
             )
@@ -255,7 +260,7 @@ def evaluate_expression(st, ops, leaf_values, *, seed=None, max_rounds=None) -> 
             note = np.full(n, _NONE, dtype=np.int64)
             note[rh] = rakers
             rep_hop(rakers)
-            family_broadcast(st, note, fam_mask(rh))
+            plan_broadcast(st.machine, bplan, family_edges(bplan, fam_mask(rh)), note)
             raked = contributor & np.isin(par, rakers)
             add_r = cur_op[rakers] == OP_ADD
             P[rakers] = np.where(

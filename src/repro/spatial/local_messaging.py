@@ -15,19 +15,37 @@ Modes:
 * ``virtual`` — messages are relayed over the §III-D virtual tree ``T̂``
   (degree ≤ 4): O(n) energy and O(log n) depth for any degree (Theorem 3).
 
+One kernel pair serves every caller. A mode's message rounds depend only
+on the tree and its layout, so they are built once per tree into cached
+plans (:class:`FamilyPlan`, :func:`family_plans`): the messages in send
+order, with round offsets and pre-gathered distances.
+:func:`plan_broadcast` and :func:`plan_reduce` charge a plan, or a
+:func:`family_edges` selection of it, through
+:meth:`~repro.machine.SpatialMachine.send_plan` and fold the payload on
+the host. ``local_*``, the masked ``family_*`` variants, the treefix
+replay (:mod:`repro.spatial.treefix`) and the expression contraction
+(:mod:`repro.spatial.expression`) all call them. The engine choice lives
+in the machine: under ``"scalar"`` ``send_plan`` replays one validated
+``send`` per round, under ``"batched"`` one vectorized pass, with
+identical ledger, clocks and steps. The per-round loops the plans encode
+are kept as the reference oracle in ``tests/test_local_messaging.py``.
+
 The ``family_*`` variants are what the tree-contraction algorithm of §V
 needs: only a *subset* of vertices act as family parents in a given round,
 children may be masked out of the reduction (inactive supervertices relay
 but contribute the identity), and the reduction can carry several
 components at once (e.g. partial sum + leaf count + non-leaf witness).
 
-Reduction order: operands combine in sibling order (the light-first child
-order), so non-commutative associative operators are safe.
+Reduction order: operands combine in sibling order (children by stored
+position), so non-commutative associative operators are safe. Virtual
+reduce sends carry no payload: their messages are evolving partial folds,
+and accounting never depends on them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +53,276 @@ from repro.contracts import cost_contract
 from repro.errors import ValidationError
 
 Op = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+# --------------------------------------------------------------------- #
+# cached per-tree plans
+# --------------------------------------------------------------------- #
+
+
+class FamilyPlan(NamedTuple):
+    """One mode's cached per-tree messages in send order, with the same
+    field names in both modes: what :func:`plan_broadcast` and
+    :func:`plan_reduce` need to send and fold a :func:`family_edges`
+    selection."""
+
+    src: np.ndarray  # sender processor of each edge
+    dst: np.ndarray
+    dist: np.ndarray  # pre-gathered distances
+    occ: np.ndarray | None  # sender occurrence hint (virtual broadcast)
+    key: np.ndarray  # family (original parent) of each edge
+    par: np.ndarray  # reduce: the vertex an edge folds into
+    chi: np.ndarray  # the vertex an edge delivers to / whose message it folds
+    offs: np.ndarray  # round offsets
+    n_app: int  # leading reduce segments that fold into relay accumulators
+    findex: tuple  # (order, offsets): the edge positions grouped by family
+    carry: bool  # reduce sends carry their messages (virtual ones send none)
+
+
+def _family_index(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plan-edge positions grouped by family key: ``(order, offsets)`` CSR."""
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=n)
+    return order, np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def _segments(segs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(senders, receivers, round offsets)`` of non-empty ``(k, 2)`` edge
+    rounds, concatenated in order."""
+    edges = np.concatenate(segs) if segs else np.empty((0, 2), dtype=np.int64)
+    src, dst = edges.T.copy()
+    offs = np.concatenate([[0], np.cumsum([len(e) for e in segs], dtype=np.int64)])
+    return src, dst, offs
+
+
+def direct_plan(st) -> tuple[FamilyPlan, FamilyPlan]:
+    """``(broadcast, reduce)`` plans of the direct rounds.
+
+    Round ``k`` holds every parent's ``k``-th child in stored-position
+    order, parents ascending; the reduce plan sends the same edges child →
+    parent. Per-edge distances are symmetric, so both share them. Cached on
+    the tree.
+    """
+    cache = getattr(st, "_direct_plan", None)
+    st.machine.plan_cache.count("batched_direct", hit=cache is not None)
+    if cache is not None:
+        return cache
+    wp = st.machine.wall_profiler
+    t0 = wp.clock() if wp is not None else 0
+    offsets, targets = st.tree.children_csr()
+    m = len(targets)
+    counts = np.diff(offsets)
+    par = np.repeat(np.arange(st.tree.n, dtype=np.int64), counts)
+    pos = st.layout.position
+    # par is already sorted, so this orders children by position per parent
+    order = np.lexsort((pos[targets], par))
+    chi = targets[order].astype(np.int64, copy=False)
+    rank = np.arange(m, dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    by_rank = np.argsort(rank, kind="stable")  # within a rank: parents ascending
+    par, chi, rank = par[by_rank], chi[by_rank], rank[by_rank]
+    offs = np.searchsorted(rank, np.arange(rank[-1] + 2 if m else 1, dtype=np.int64))
+    ppar, pchi = st.proc[par], st.proc[chi]
+    pd = st.machine.manhattan(ppar, pchi)
+    findex = _family_index(par, st.tree.n)
+    plan = (
+        FamilyPlan(ppar, pchi, pd, None, par, par, chi, offs, 0, findex, True),
+        FamilyPlan(pchi, ppar, pd, None, par, par, chi, offs, 0, findex, True),
+    )
+    st._direct_plan = plan
+    if wp is not None:
+        wp.rec("plan_build.direct", wp.clock() - t0, messages=m)
+        wp.alloc("plan.direct", sum(a.nbytes for a in (par, chi, ppar, pchi, pd, offs)))
+    return plan
+
+
+def virtual_bcast_plan(st) -> FamilyPlan:
+    """The virtual broadcast plan: the current-children round first, then
+    the appended rounds by ascending relay depth.
+
+    ``key[i]`` is the original-tree parent whose value child ``i`` receives
+    (for current children that *is* the sender). ``occ[i]`` is edge ``i``'s
+    sender's occurrence index within its round (0 or 1 — a virtual node
+    relays to at most two targets per round, and receivers are distinct),
+    the static hint that lets the clock kernel skip its per-round
+    multiplicity probes. Both of a sender's same-round edges serve the
+    *same* family, so a family selection keeps or drops them together and
+    the indices survive it. Cached on the tree.
+    """
+    cache = getattr(st, "_virtual_bcast_plan", None)
+    st.machine.plan_cache.count("batched_virtual_bcast", hit=cache is not None)
+    if cache is not None:
+        return cache
+    wp = st.machine.wall_profiler
+    t0 = wp.clock() if wp is not None else 0
+    sched = st.virtual_schedule
+    rounds = [e for e in (sched.cur_edges, *sched.app_rounds) if len(e)]
+    src, chi, offs = _segments(rounds)
+    fam = sched.family[chi]
+    psrc, pchi = st.proc[src], st.proc[chi]
+    pd = st.machine.manhattan(psrc, pchi)
+    # per-round sender occurrence index: second-of-pair edges get 1
+    rid = np.repeat(np.arange(len(rounds), dtype=np.int64), np.diff(offs))
+    pair = rid * np.int64(st.n) + src
+    order = np.argsort(pair, kind="stable")
+    sorted_pair = pair[order]
+    occ = np.zeros(len(src), dtype=np.int64)
+    occ[order[1:]] = sorted_pair[1:] == sorted_pair[:-1]
+    plan = FamilyPlan(psrc, pchi, pd, occ, fam, fam, chi, offs, 0, _family_index(fam, st.n), True)
+    st._virtual_bcast_plan = plan
+    if wp is not None:
+        wp.rec("plan_build.virtual_bcast", wp.clock() - t0, messages=len(chi))
+        wp.alloc("plan.virtual_bcast", sum(a.nbytes for a in (chi, fam, psrc, pchi, pd, occ, offs)))
+    return plan
+
+
+def virtual_reduce_plan(st) -> FamilyPlan:
+    """The virtual reduce plan: appended rounds by *descending* relay depth,
+    each split into slot-0 then slot-1 segments (sibling order for
+    non-commutative operators), then the current round's two slots. The
+    first ``n_app`` segments fold into the per-vertex interval
+    accumulator; the rest fold into the result. Cached on the tree.
+    """
+    cache = getattr(st, "_virtual_reduce_plan", None)
+    st.machine.plan_cache.count("batched_virtual_reduce", hit=cache is not None)
+    if cache is not None:
+        return cache
+    wp = st.machine.wall_profiler
+    t0 = wp.clock() if wp is not None else 0
+    sched = st.virtual_schedule
+    vt = sched.vt
+
+    def slot_segments(edges: np.ndarray, table: np.ndarray) -> list[np.ndarray]:
+        # slot 0 = first appended/current child (earlier sibling interval)
+        slot0 = table[edges[:, 0], 0] == edges[:, 1]
+        return [seg for seg in (edges[slot0], edges[~slot0]) if len(seg)]
+
+    segs = [seg for edges in reversed(sched.app_rounds) for seg in slot_segments(edges, vt.app)]
+    n_app = len(segs)
+    segs += slot_segments(sched.cur_edges, vt.cur)
+    par, chi, offs = _segments(segs)
+    fam = sched.family[chi]
+    ppar, pchi = st.proc[par], st.proc[chi]
+    pd = st.machine.manhattan(pchi, ppar)
+    plan = FamilyPlan(pchi, ppar, pd, None, fam, par, chi, offs, n_app,
+                      _family_index(fam, st.n), False)
+    st._virtual_reduce_plan = plan
+    if wp is not None:
+        wp.rec("plan_build.virtual_reduce", wp.clock() - t0, messages=len(chi))
+        wp.alloc("plan.virtual_reduce", sum(a.nbytes for a in (par, chi, ppar, pchi, pd, offs)))
+    return plan
+
+
+def family_plans(st, mode: str) -> tuple[FamilyPlan, FamilyPlan]:
+    """``(broadcast, reduce)`` plans of the tree in ``mode``."""
+    if mode == "direct":
+        return direct_plan(st)
+    return virtual_bcast_plan(st), virtual_reduce_plan(st)
+
+
+def family_edges(plan: FamilyPlan, families: np.ndarray) -> np.ndarray | None:
+    """Positions of the active families' plan edges, ascending, without
+    sending them — ``None`` when every plan edge is active.
+
+    Equivalent to ``np.flatnonzero(families[plan.key])`` but costs
+    O(active edges) instead of O(plan edges) on a sparse frontier: the
+    contraction's active-family sets shrink geometrically, so the work
+    tracks the live frontier rather than the whole tree. Treefix compiles
+    its rounds from these positions once and replays them on every call.
+    """
+    forder, foffs = plan.findex
+    active = np.flatnonzero(families)
+    starts = foffs[active]
+    cnts = foffs[active + 1] - starts
+    k = int(cnts.sum())
+    if k == len(plan.key):
+        return None
+    if 4 * k >= len(plan.key):
+        # dense frontier: one boolean pass over the plan beats gathering
+        # and re-sorting edge positions per family
+        return np.flatnonzero(families[plan.key])
+    csum = np.concatenate([[0], np.cumsum(cnts)])
+    idx = forder[np.arange(k, dtype=np.int64) + np.repeat(starts - csum[:-1], cnts)]
+    idx.sort()
+    return idx
+
+
+# --------------------------------------------------------------------- #
+# the kernels
+# --------------------------------------------------------------------- #
+
+
+def _selected(plan: FamilyPlan, sel: np.ndarray | None) -> tuple[slice | np.ndarray, np.ndarray]:
+    """A selection as an index into the plan's arrays, and its round offsets."""
+    if sel is None:
+        return slice(None), plan.offs
+    idx = sel.astype(np.intp, copy=False)
+    return idx, np.searchsorted(idx, plan.offs)
+
+
+def plan_broadcast(machine, plan: FamilyPlan, sel: np.ndarray | None, *values: np.ndarray,
+                   out: np.ndarray | None = None) -> None:
+    """Charge one family broadcast of each of ``values`` over ``sel``, a
+    :func:`family_edges` selection of ``plan`` (``None``: every edge):
+    every edge carries its family's entry. With ``out``, the last of
+    ``values`` is also delivered: each selected edge's child gets its
+    family's entry there."""
+    idx, offs = _selected(plan, sel)
+    key = plan.key[idx]
+    if len(key) == 0:
+        return
+    src, dst, dist = plan.src[idx], plan.dst[idx], plan.dist[idx]
+    occ = None if plan.occ is None else plan.occ[idx]
+    for vals in values:
+        sent = vals[key]
+        machine.send_plan(src, dst, sent, rounds=offs, dist=dist,
+                          exclusive=occ is None, src_occ=occ)
+    if out is not None:
+        out[plan.chi[idx]] = sent
+
+
+def plan_reduce(machine, plan: FamilyPlan, sel: np.ndarray | None, msg: np.ndarray,
+                *more: Callable[[np.ndarray], np.ndarray], op: Op | None = None, identity=0,
+                dtype=None) -> np.ndarray | None:
+    """Charge the family reduce of ``msg`` (per-vertex messages) over
+    ``sel``, a :func:`family_edges` selection of ``plan`` (``None``: every
+    edge), then one more reduce over the same edges per entry of ``more``:
+    each maps the selected edges' children to their messages (called only
+    when the plan's reduce sends carry payloads).
+
+    With ``op``, fold ``msg`` in the plan's sibling order and return the
+    result at each family parent, ``identity`` elsewhere, in ``dtype``
+    (default: the message's); without, return ``None``.
+    """
+    idx, offs = _selected(plan, sel)
+    par, chi = plan.par[idx], plan.chi[idx]
+    result = None if op is None else np.full_like(msg, identity, dtype=dtype)
+    if len(chi) == 0:
+        return result
+    src, dst, dist = plan.src[idx], plan.dst[idx], plan.dist[idx]
+    sent = msg[chi] if plan.carry else None
+    machine.send_plan(src, dst, sent, rounds=offs, dist=dist, exclusive=True)
+    for messages_of in more:
+        payload = messages_of(chi) if plan.carry else None
+        machine.send_plan(src, dst, payload, rounds=offs, dist=dist, exclusive=True)
+    if op is None:
+        return None
+    # relay segments fold into per-vertex interval accumulators first
+    acc_iv = msg.copy() if plan.n_app else msg
+    for r in range(len(offs) - 1):
+        a, b = int(offs[r]), int(offs[r + 1])
+        if b <= a:
+            continue
+        p = par[a:b]
+        if r < plan.n_app:
+            acc_iv[p] = op(acc_iv[p], acc_iv[chi[a:b]])
+        else:
+            result[p] = op(result[p], acc_iv[chi[a:b]] if sent is None else sent[a:b])
+    return result
+
+
+# --------------------------------------------------------------------- #
+# public kernels
+# --------------------------------------------------------------------- #
 
 
 def _as_values(st, values) -> np.ndarray:
@@ -46,6 +334,15 @@ def _as_values(st, values) -> np.ndarray:
     return values
 
 
+def _as_mask(st, mask, name: str) -> np.ndarray:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (st.n,):
+        raise ValidationError(
+            f"{name} must have one entry per vertex ({st.n}), got {mask.shape}"
+        )
+    return mask
+
+
 def _resolve_mode(st, mode: str | None) -> str:
     if mode is None:
         return st.mode
@@ -54,203 +351,35 @@ def _resolve_mode(st, mode: str | None) -> str:
     return mode
 
 
-# --------------------------------------------------------------------- #
-# direct mode
-# --------------------------------------------------------------------- #
-
-
-def _children_by_rank(st) -> list[np.ndarray]:
-    """Edge groups by child rank, children in stored-position order.
-
-    Group ``k`` is a ``(m_k, 2)`` array of (parent, k-th child) pairs.
-    Cached on the SpatialTree.
-    """
-    cache = getattr(st, "_children_by_rank", None)
-    if cache is not None:
-        return cache
-    tree = st.tree
-    offsets, targets = tree.children_csr()
-    pos = st.layout.position
-    groups: list[list[tuple[int, int]]] = []
-    for v in range(tree.n):
-        kids = targets[offsets[v] : offsets[v + 1]]
-        if len(kids) == 0:
-            continue
-        kids = kids[np.argsort(pos[kids], kind="stable")]
-        for k, c in enumerate(kids):
-            if k >= len(groups):
-                groups.append([])
-            groups[k].append((v, int(c)))
-    out = [np.array(g, dtype=np.int64).reshape(-1, 2) for g in groups]
-    st._children_by_rank = out
-    return out
-
-
-def _direct_broadcast(st, values, families) -> np.ndarray:
-    received = values.copy()
-    for edges in _children_by_rank(st):
-        parents, children = edges[:, 0], edges[:, 1]
-        if families is not None:
-            sel = families[parents]
-            parents, children = parents[sel], children[sel]
-        if len(parents) == 0:
-            continue
-        st.send(parents, children, values[parents])
-        received[children] = values[parents]
-    return received
-
-
-def _direct_reduce(st, values, op, identity, contribute, families) -> np.ndarray:
-    acc = np.full_like(np.asarray(values), identity)
-    msg = values if contribute is None else np.where(contribute, values, identity)
-    for edges in _children_by_rank(st):
-        parents, children = edges[:, 0], edges[:, 1]
-        if families is not None:
-            sel = families[parents]
-            parents, children = parents[sel], children[sel]
-        if len(parents) == 0:
-            continue
-        st.send(children, parents, msg[children])
-        acc[parents] = op(acc[parents], msg[children])
-    return acc
-
-
-# --------------------------------------------------------------------- #
-# virtual mode
-# --------------------------------------------------------------------- #
-
-
-def _virtual_broadcast(st, values, families) -> np.ndarray:
-    sched = st.virtual_schedule
-    received = values.copy()
-    cur = sched.cur_edges
-    if len(cur):
-        parents, children = cur[:, 0], cur[:, 1]
-        if families is not None:
-            sel = families[parents]
-            parents, children = parents[sel], children[sel]
-        if len(parents):
-            st.send(parents, children, values[parents])
-            received[children] = values[parents]
-    for edges in sched.app_rounds:
-        if len(edges) == 0:
-            continue
-        relays, children = edges[:, 0], edges[:, 1]
-        fam = sched.family[children]
-        if families is not None:
-            sel = families[fam]
-            relays, children, fam = relays[sel], children[sel], fam[sel]
-        if len(relays) == 0:
-            continue
-        # the relay forwards the family parent's value it already received
-        st.send(relays, children, values[fam])
-        received[children] = values[fam]
-    return received
-
-
-def _fold_in_slot_order(st, acc, msg_acc, edges, op, families, fam_of, slots) -> None:
-    """Send and fold one round's edges, slot 0 before slot 1 (sibling order)."""
-    for s in (0, 1):
-        sel = slots == s
-        parents, children = edges[sel, 0], edges[sel, 1]
-        if families is not None:
-            keep = families[fam_of[children]] if fam_of is not None else families[parents]
-            parents, children = parents[keep], children[keep]
-        if len(parents) == 0:
-            continue
-        st.send(children, parents, msg_acc[children])
-        acc[parents] = op(acc[parents], msg_acc[children])
-
-
-def _virtual_reduce(st, values, op, identity, contribute, families) -> np.ndarray:
-    sched = st.virtual_schedule
-    vt = sched.vt
-    msg = values if contribute is None else np.where(contribute, values, identity)
-    # per-vertex running interval accumulator (starts with own message)
-    acc_iv = np.array(msg, copy=True)
-
-    def slot_of(edges, table) -> np.ndarray:
-        # slot 0 = first appended/current child (earlier sibling interval)
-        return np.where(table[edges[:, 0], 0] == edges[:, 1], 0, 1)
-
-    for edges in reversed(sched.app_rounds):
-        if len(edges) == 0:
-            continue
-        slots = slot_of(edges, vt.app)
-        _fold_in_slot_order(st, acc_iv, acc_iv, edges, op, families, sched.family, slots)
-    # final hop: current children deliver their interval accumulators
-    result = np.full_like(np.asarray(values), identity)
-    cur = sched.cur_edges
-    if len(cur):
-        slots = slot_of(cur, vt.cur)
-        for s in (0, 1):
-            sel = slots == s
-            parents, children = cur[sel, 0], cur[sel, 1]
-            if families is not None:
-                keep = families[parents]
-                parents, children = parents[keep], children[keep]
-            if len(parents) == 0:
-                continue
-            st.send(children, parents, acc_iv[children])
-            result[parents] = op(result[parents], acc_iv[children])
-    return result
-
-
-# --------------------------------------------------------------------- #
-# public kernels
-# --------------------------------------------------------------------- #
-
-
 @cost_contract(energy="local_messaging_energy", depth="local_messaging_depth", plan_safe=True)
 def local_broadcast(st, values, *, mode: str | None = None) -> np.ndarray:
     """Every child receives its parent's value; the root keeps its own.
 
     Returns ``received`` with ``received[v] = values[parent(v)]`` for
     non-root ``v``. O(n) energy on an energy-bound layout; depth O(Δ)
-    (direct) or O(log n) (virtual).
-
-    The machine's ``engine`` selects the execution path: ``"scalar"`` loops
-    the reference per-round sends below; ``"batched"`` replays the same
-    rounds through one :meth:`~repro.machine.SpatialMachine.send_batch`
-    (see :mod:`repro.spatial.batched_messaging`) with identical accounting.
+    (direct) or O(log n) (virtual). ``mode`` overrides the tree's.
     """
     values = _as_values(st, values)
     mode = _resolve_mode(st, mode)
-    batched = st.machine.engine == "batched"
     with st.machine.phase("local_broadcast"), st.machine.profile_kernel("local_broadcast"):
-        if batched:
-            from repro.spatial import batched_messaging as bm
-
-            if mode == "direct":
-                return bm.direct_broadcast(st, values, None)
-            return bm.virtual_broadcast(st, values, None)
-        if mode == "direct":
-            return _direct_broadcast(st, values, None)
-        return _virtual_broadcast(st, values, None)
+        received = values.copy()
+        plan_broadcast(st.machine, family_plans(st, mode)[0], None, values, out=received)
+        return received
 
 
 @cost_contract(energy="local_messaging_energy", depth="local_messaging_depth", plan_safe=True)
 def local_reduce(st, values, *, op: Op = np.add, identity=0, mode: str | None = None) -> np.ndarray:
     """Every parent receives the reduction of its children's values.
 
-    Leaves receive ``identity``. Operands combine in sibling (light-first)
-    order, so any associative operator is safe. Same cost profile as
-    :func:`local_broadcast`; the machine's ``engine`` selects the scalar
-    reference path or the batched one.
+    Leaves receive ``identity``. Operands combine in sibling order, so any
+    associative operator is safe. Same cost profile as
+    :func:`local_broadcast`.
     """
     values = _as_values(st, values)
     mode = _resolve_mode(st, mode)
-    batched = st.machine.engine == "batched"
     with st.machine.phase("local_reduce"), st.machine.profile_kernel("local_reduce"):
-        if batched:
-            from repro.spatial import batched_messaging as bm
-
-            if mode == "direct":
-                return bm.direct_reduce(st, values, op, identity, None, None)
-            return bm.virtual_reduce(st, values, op, identity, None, None)
-        if mode == "direct":
-            return _direct_reduce(st, values, op, identity, None, None)
-        return _virtual_reduce(st, values, op, identity, None, None)
+        return plan_reduce(st.machine, family_plans(st, mode)[1], None, values,
+                           op=op, identity=identity)
 
 
 def family_broadcast(st, values, families, *, mode: str | None = None) -> np.ndarray:
@@ -262,18 +391,13 @@ def family_broadcast(st, values, families, *, mode: str | None = None) -> np.nda
     participants) — exactly the §V contraction requirement.
     """
     values = _as_values(st, values)
-    families = np.asarray(families, dtype=bool)
+    families = _as_mask(st, families, "families")
     mode = _resolve_mode(st, mode)
     with st.machine.profile_kernel("family_broadcast"):
-        if st.machine.engine == "batched":
-            from repro.spatial import batched_messaging as bm
-
-            if mode == "direct":
-                return bm.direct_broadcast(st, values, families)
-            return bm.virtual_broadcast(st, values, families)
-        if mode == "direct":
-            return _direct_broadcast(st, values, families)
-        return _virtual_broadcast(st, values, families)
+        plan = family_plans(st, mode)[0]
+        received = values.copy()
+        plan_broadcast(st.machine, plan, family_edges(plan, families), values, out=received)
+        return received
 
 
 def family_reduce(
@@ -291,18 +415,15 @@ def family_reduce(
     ``contribute[c] == False`` makes child ``c`` inject ``identity`` while
     still relaying siblings' partial results (an inactive supervertex in a
     rake round). Returns the reduction at each active family parent;
-    inactive parents get ``identity``.
+    inactive parents get ``identity``. The result has ``values``' dtype.
     """
     values = _as_values(st, values)
-    families = np.asarray(families, dtype=bool)
+    families = _as_mask(st, families, "families")
+    msg = values
+    if contribute is not None:
+        msg = np.where(_as_mask(st, contribute, "contribute"), values, identity)
     mode = _resolve_mode(st, mode)
     with st.machine.profile_kernel("family_reduce"):
-        if st.machine.engine == "batched":
-            from repro.spatial import batched_messaging as bm
-
-            if mode == "direct":
-                return bm.direct_reduce(st, values, op, identity, contribute, families)
-            return bm.virtual_reduce(st, values, op, identity, contribute, families)
-        if mode == "direct":
-            return _direct_reduce(st, values, op, identity, contribute, families)
-        return _virtual_reduce(st, values, op, identity, contribute, families)
+        plan = family_plans(st, mode)[1]
+        return plan_reduce(st.machine, plan, family_edges(plan, families), msg,
+                           op=op, identity=identity, dtype=values.dtype)

@@ -45,10 +45,11 @@ Structure of the implementation, mirroring the paper:
   So every call runs in two steps: :func:`_compile` plays the decisions on
   the structural registers, charging nothing, and records per round the
   family selections (edge positions in the cached per-tree plans of
-  :mod:`repro.spatial.batched_messaging`), the frontier hops and the
-  vertex sets the payload folds need; the replay walks that
-  :class:`TreefixSchedule`, issues every charge and folds the call's own
-  values. The schedule is memoized in one slot on the
+  :mod:`repro.spatial.local_messaging`), the frontier hops and the vertex
+  sets the payload folds need; the replay walks that
+  :class:`TreefixSchedule`, issues every charge (the family exchanges
+  through the local-messaging kernels) and folds the call's own values.
+  The schedule is memoized in one slot on the
   :class:`~repro.spatial.SpatialTree`, keyed by ``(mode, seed,
   coin_bias)`` and filled for integer seeds only; nothing that depends on
   the payload is ever cached.
@@ -71,7 +72,13 @@ import numpy as np
 from repro.contracts import cost_contract
 from repro.errors import ConvergenceError, ValidationError
 from repro.machine.collectives import barrier
-from repro.spatial import batched_messaging as bm
+from repro.spatial.local_messaging import (
+    FamilyPlan,
+    family_edges,
+    family_plans,
+    plan_broadcast,
+    plan_reduce,
+)
 from repro.utils import ceil_log2, resolve_rng
 
 Op = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -298,13 +305,13 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
     s.ev_type[:] = 0
     s.ev_nchild[:] = 0
 
-    plans: list[bm.FamilyPlan] = []  # fetched at the first selection
+    plans: list[FamilyPlan] = []  # fetched at the first selection
 
     def select(which: int, fam: np.ndarray) -> np.ndarray | None:
         if not plans:
-            plans.extend(bm.family_plans(st))
+            plans.extend(family_plans(st, st.mode))
         plan = plans[which]
-        return _pack(bm.family_edges(plan.findex, fam), len(plan.src))
+        return _pack(family_edges(plan, fam), len(plan.src))
 
     contract: list[_ContractRound] = []
     remaining = [n]
@@ -460,7 +467,7 @@ class _Replay:
         self.proc = st.proc
         self.parents = st.tree.parents
         self.P, self.A, self.P_before = s.P, s.A, s.ev_P_before
-        self.bcast, self.reduce_plan = bm.family_plans(st) if sched.rounds else (None, None)
+        self.bcast, self.reduce_plan = family_plans(st, st.mode) if sched.rounds else (None, None)
         self.op, self.identity, self.bottom_up = op, identity, bottom_up
         #: the structural word each family head broadcasts
         self.words = np.empty(n, dtype=np.int64)
@@ -471,7 +478,14 @@ class _Replay:
         #: 1 at a rake round's leaf children, 2 at its non-leaf ones: what
         #: the payloads of direct-mode structural reduces are derived from
         carry = self.reduce_plan is not None and self.reduce_plan.carry
-        self.child_kind = np.zeros(n, dtype=np.int8) if carry else None
+        kind = self.child_kind = np.zeros(n, dtype=np.int8) if carry else None
+        #: the rake round's leaf-count, non-leaf-witness and smallest-leaf
+        #: reduces: each child's message, from its kind
+        self.structural = (
+            lambda c: (kind[c] == 1).astype(np.int64),
+            lambda c: np.where(kind[c] == 2, c, _NONE),
+            lambda c: np.where(kind[c] == 1, c, _BIG),
+        )
 
     def exchange(self, src: np.ndarray, dst: np.ndarray, rounds: np.ndarray | None = None) -> None:
         """Charge a frontier exchange between vertices (EREW by construction)."""
@@ -487,70 +501,6 @@ class _Replay:
             else:
                 self.exchange(reps, heads)
 
-    def broadcast(self, sel: np.ndarray | None, *values: np.ndarray) -> None:
-        """Charge one family broadcast of each of ``values`` over a recorded
-        selection: every edge carries its family's entry."""
-        plan = self.bcast
-        if sel is None:
-            src, dst, dist, occ, key, offs = (
-                plan.src, plan.dst, plan.dist, plan.occ, plan.key, plan.offs)
-        else:
-            idx = sel.astype(np.intp)
-            if len(idx) == 0:
-                return
-            src, dst, dist, key = plan.src[idx], plan.dst[idx], plan.dist[idx], plan.key[idx]
-            occ = None if plan.occ is None else plan.occ[idx]
-            offs = np.searchsorted(idx, plan.offs)
-        for vals in values:
-            self.m.send_plan(src, dst, vals[key], rounds=offs, dist=dist,
-                             exclusive=occ is None, src_occ=occ)
-
-    def reduce(self, sel: np.ndarray | None, msg: np.ndarray, *, fold: bool,
-               structural: bool = False) -> np.ndarray | None:
-        """Charge the family reduce of ``msg`` over a recorded selection —
-        with ``structural``, then those of the leaf count, the non-leaf
-        witness and the smallest leaf id. With ``fold``, fold ``msg`` in the
-        plan's sibling order and return the result at each family head
-        (``identity`` elsewhere)."""
-        plan = self.reduce_plan
-        if sel is None:
-            src, dst, dist, par, chi, offs = (
-                plan.src, plan.dst, plan.dist, plan.par, plan.chi, plan.offs)
-        else:
-            idx = sel.astype(np.intp)
-            if len(idx) == 0:
-                return np.full_like(msg, self.identity) if fold else None
-            src, dst, dist = plan.src[idx], plan.dst[idx], plan.dist[idx]
-            par, chi = plan.par[idx], plan.chi[idx]
-            offs = np.searchsorted(idx, plan.offs)
-        sent = msg[chi] if plan.carry else None
-        self.m.send_plan(src, dst, sent, rounds=offs, dist=dist, exclusive=True)
-        if structural:
-            payloads: tuple = (None, None, None)
-            if plan.carry:
-                kind = self.child_kind[chi]
-                leaf = kind == 1
-                payloads = (leaf.astype(np.int64), np.where(kind == 2, chi, _NONE),
-                            np.where(leaf, chi, _BIG))
-            for payload in payloads:
-                self.m.send_plan(src, dst, payload, rounds=offs, dist=dist, exclusive=True)
-        if not fold:
-            return None
-        op = self.op
-        result = np.full_like(msg, self.identity)
-        # relay segments fold into per-vertex interval accumulators first
-        acc_iv = msg.copy() if plan.n_app else msg
-        for r in range(len(offs) - 1):
-            a, b = int(offs[r]), int(offs[r + 1])
-            if b <= a:
-                continue
-            p = par[a:b]
-            if r < plan.n_app:
-                acc_iv[p] = op(acc_iv[p], acc_iv[chi[a:b]])
-            else:
-                result[p] = op(result[p], acc_iv[chi[a:b]] if sent is None else sent[a:b])
-        return result
-
     def contract_round(self, rnd: _ContractRound) -> None:
         """Charge one COMPACT round; fold ``P`` and the pre-event partials."""
         P, P_before, op = self.P, self.P_before, self.op
@@ -558,7 +508,7 @@ class _Replay:
             hop, sel, heads, codes = rnd.announce
             self.hop(hop)
             self.words[heads] = codes
-            self.broadcast(sel, self.words)
+            plan_broadcast(self.m, self.bcast, sel, self.words)
         if rnd.compress is not None:
             # v hands its state to its parent (one O(1)-word exchange) and
             # tells its single child about its new parent — two dependency
@@ -578,8 +528,9 @@ class _Replay:
         if kind is not None:
             kind[leaves] = 1
             kind[nonleaves] = 2
-        leaf_P = self.reduce(sel, msg, fold=self.bottom_up and rnd.fire is not None,
-                             structural=True)
+        fold = op if self.bottom_up and rnd.fire is not None else None
+        leaf_P = plan_reduce(self.m, self.reduce_plan, sel, msg, *self.structural,
+                             op=fold, identity=self.identity)
         msg[leaves] = self.identity
         if kind is not None:
             kind[leaves] = 0
@@ -591,7 +542,7 @@ class _Replay:
         hop, sel, rakers, heads, designated = rnd.fire
         self.hop(hop)
         self.words[heads] = designated
-        self.broadcast(sel, self.words)
+        plan_broadcast(self.m, self.bcast, sel, self.words)
         self.exchange(rakers, designated)
         P_before[designated] = P[rakers]
         # bottom-up folds raked totals into P; top-down's P is a pure
@@ -624,17 +575,18 @@ class _Replay:
         self.hop(hop)
         self.words[heads] = v1
         if self.bottom_up:
-            self.broadcast(bsel, self.words)
+            plan_broadcast(self.m, self.bcast, bsel, self.words)
         else:
             path_val = self.path_val
             path_val[heads] = op(A[ru], P[ru])
-            self.broadcast(bsel, self.words, path_val)
+            plan_broadcast(self.m, self.bcast, bsel, self.words, path_val)
             A[waking] = path_val[self.parents[waking]]
             path_val[heads] = self.identity
         # gather the raked total back (bottom-up needs it for A)
         msg = self.wake_msg
         msg[waking] = P[waking]
-        raked_P = self.reduce(rsel, msg, fold=self.bottom_up)
+        raked_P = plan_reduce(self.m, self.reduce_plan, rsel, msg,
+                              op=op if self.bottom_up else None, identity=self.identity)
         msg[waking] = self.identity
         self.hop(hop, back=True)
         if self.bottom_up:

@@ -63,13 +63,18 @@ class TestCaching:
         assert s1 is s2
         assert st_.machine.energy == e1  # no double charging
 
-    def test_children_by_rank_cached(self):
-        from repro.spatial.local_messaging import _children_by_rank
+    def test_local_plans_cached(self):
+        from repro.spatial.local_messaging import family_plans, local_broadcast
 
-        st_ = SpatialTree.build(prufer_random_tree(60, seed=1))
-        a = _children_by_rank(st_)
-        b = _children_by_rank(st_)
-        assert a is b
+        for engine in ("scalar", "batched"):
+            st_ = SpatialTree.build(prufer_random_tree(60, seed=1), mode="direct", engine=engine)
+            vals = np.arange(60)
+            local_broadcast(st_, vals)
+            local_broadcast(st_, vals)
+            pc = st_.machine.plan_cache
+            assert pc.misses == {"batched_direct": 1}, engine
+            assert pc.hits == {"batched_direct": 1}, engine
+            assert family_plans(st_, "direct") is st_._direct_plan
 
     def test_tree_lazy_caches_are_consistent(self):
         t = prufer_random_tree(50, seed=2)

@@ -110,6 +110,15 @@ def entry(machine):
             machine.send_batch([(0, 1)])
 """
 
+FAMILY_CALLER = """\
+from repro.contracts import cost_contract
+from repro.spatial.local_messaging import family_broadcast
+
+@cost_contract(energy="local_messaging_energy", depth="local_messaging_depth", plan_safe=True)
+def entry(st, values, families):
+    return family_broadcast(st, values, families)
+"""
+
 TRUE_PLAN_SAFE = """\
 from repro.contracts import cost_contract
 
@@ -218,6 +227,15 @@ class TestSeededViolations:
         assert codes(result) == []
         (row,) = result.report["entry_points"]
         assert row["verdict"] == VERDICT_PLAN_SAFE
+
+    def test_family_kernels_open_no_phase(self):
+        # family_broadcast/family_reduce charge in their caller's phase:
+        # the call reaches no phase of its own, so its charge is unphased
+        result = check_source(FAMILY_CALLER)
+        assert codes(result) == ["CHECK002"]
+        (row,) = result.report["entry_points"]
+        assert row["reachable_phases"] == []
+        assert result.report["phases"] == []
 
     def test_syntax_error_reported_as_check001(self):
         result = check_source("def f(:\n")

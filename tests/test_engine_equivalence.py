@@ -6,7 +6,9 @@ results, same ledger totals (global and per-phase), same per-processor
 dependency clocks, and same step count on every workload. These tests pin
 that contract with hypothesis-generated cases (well over 200 across the
 suite), a deterministic tree zoo, raw ``send_batch``/``send_plan`` fuzz,
-and strict-sanitizer runs under both engines.
+and strict-sanitizer runs under both engines. The §III local-messaging
+kernels are also held, on both engines, to the per-round oracle of
+``tests/test_local_messaging.py`` run on a scalar machine.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.machine import collectives
 from repro.machine.machine import SpatialMachine
 from repro.spatial import SpatialTree, lca_batch, prepare_lca
+from repro.spatial.expression import evaluate_expression, random_expression
 from repro.spatial.list_ranking import list_rank
 from repro.spatial.local_messaging import (
     family_broadcast,
@@ -32,6 +35,7 @@ from repro.trees import (
     spider_tree,
     star_tree,
 )
+from tests.test_local_messaging import oracle_broadcast, oracle_reduce
 
 ENGINES = ("scalar", "batched")
 
@@ -44,23 +48,28 @@ def assert_machines_agree(ms: SpatialMachine, mb: SpatialMachine) -> None:
     assert ms.ledger.summary() == mb.ledger.summary()
 
 
-def run_on_tree(tree, exercise, *, mode="auto", curve="hilbert", strict=False):
-    """Run ``exercise(st) -> result`` under both engines and compare."""
+def run_on_tree(tree, exercise, *, mode="auto", curve="hilbert", strict=False, oracle=None):
+    """Run ``exercise(st) -> result`` under both engines and compare them —
+    with each other, or with ``oracle(st)`` run on a scalar machine."""
+    runs = {engine: (engine, exercise) for engine in ENGINES}
+    if oracle is not None:
+        runs["oracle"] = ("scalar", oracle)
     results = {}
     machines = {}
-    for engine in ENGINES:
+    for name, (engine, fn) in runs.items():
         stree = SpatialTree.build(
             tree, seed=0, mode=mode, curve=curve, engine=engine, strict=strict
         )
-        results[engine] = exercise(stree)
-        machines[engine] = stree.machine
-    rs, rb = results["scalar"], results["batched"]
-    if rs is None:
-        assert rb is None
-    else:
-        assert np.array_equal(np.asarray(rs), np.asarray(rb))
-    assert_machines_agree(machines["scalar"], machines["batched"])
-    return rs
+        results[name] = fn(stree)
+        machines[name] = stree.machine
+    ref = "oracle" if oracle is not None else "scalar"
+    for name in ENGINES:
+        if results[ref] is None:
+            assert results[name] is None
+        else:
+            assert np.array_equal(np.asarray(results[ref]), np.asarray(results[name]))
+        assert_machines_agree(machines[ref], machines[name])
+    return results[ref]
 
 
 # --------------------------------------------------------------------- #
@@ -119,7 +128,14 @@ def test_local_messaging_equivalence(n, seed, mode, op_name):
         b = local_reduce(stree, vals, op=op, identity=identity, mode=mode)
         return np.concatenate([a, b])
 
-    run_on_tree(tree, exercise, mode=mode)
+    def oracle(stree):
+        with stree.machine.phase("local_broadcast"):
+            a = oracle_broadcast(stree, vals, mode=mode)
+        with stree.machine.phase("local_reduce"):
+            b = oracle_reduce(stree, vals, op=op, identity=identity, mode=mode)
+        return np.concatenate([a, b])
+
+    run_on_tree(tree, exercise, mode=mode, oracle=oracle)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,13 +152,42 @@ def test_family_masked_equivalence(n, seed, mode, density):
     rng = np.random.default_rng(seed)
     vals = rng.integers(-100, 100, size=n).astype(np.int64)
     families = rng.random(n) < density
+    contribute = rng.random(n) < 0.7
 
     def exercise(stree):
         a = family_broadcast(stree, vals, families, mode=mode)
         b = family_reduce(stree, vals, families, mode=mode)
-        return np.concatenate([a, b])
+        c = family_reduce(stree, vals, families, contribute=contribute, mode=mode)
+        return np.concatenate([a, b, c])
 
-    run_on_tree(tree, exercise, mode=mode)
+    def oracle(stree):
+        a = oracle_broadcast(stree, vals, families, mode=mode)
+        b = oracle_reduce(stree, vals, families, mode=mode)
+        c = oracle_reduce(stree, vals, families, contribute=contribute, mode=mode)
+        return np.concatenate([a, b, c])
+
+    run_on_tree(tree, exercise, mode=mode, oracle=oracle)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=96),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    shape=st.sampled_from(["prufer", "star", "caterpillar", "random_binary"]),
+    mode=st.sampled_from(["direct", "virtual"]),
+)
+def test_expression_equivalence(n, seed, shape, mode):
+    """The expression contraction runs the masked kernels four reduces per
+    family set; both engines must evaluate and bill it identically."""
+    tree = {
+        "prufer": lambda: prufer_random_tree(n, seed=seed),
+        "star": lambda: star_tree(n),
+        "caterpillar": lambda: caterpillar_tree(n),
+        "random_binary": lambda: random_binary_tree(n, seed=seed),
+    }[shape]()
+    _, ops, leaves = random_expression(n, seed=seed)
+    out = run_on_tree(tree, lambda s: evaluate_expression(s, ops, leaves, seed=seed), mode=mode)
+    assert out.shape == (n,)
 
 
 # --------------------------------------------------------------------- #
