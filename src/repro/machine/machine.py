@@ -124,14 +124,19 @@ def _advance_round(
     recurrences, hence bit-identical clock state) but takes O(k) fast paths
     when the round's senders and/or receivers are pairwise distinct or
     occur at most twice — the overwhelmingly common cases for the tree and
-    list kernels. One first-write-wins stamp into ``scratch``
-    (``scratch[ids[::-1]] = ar[::-1]``) yields each message's
-    first-occurrence position, which answers both probes at once: all ids
-    are distinct iff every position reads back its own stamp, and otherwise
-    the non-first occurrences carry occurrence index 1 — valid as a
-    pairwise round iff they are themselves distinct. Only entries written
-    in this call are read back, so stale scratch contents (from earlier
-    rounds or batches) are harmless.
+    list kernels. Each side is probed once. A first-write-wins stamp into
+    ``scratch`` (``scratch[ids[::-1]] = ar[::-1]``) gives each message's
+    first-occurrence position; the ids are distinct iff every position reads
+    back its own stamp. Otherwise the non-first positions ``lp`` carry
+    occurrence index 1, and the round is pairwise iff one more stamp and
+    read-back on ``lp`` alone shows their ids distinct. Only entries written
+    in this call are read back, so stale scratch contents are harmless.
+
+    The pairwise paths write every message's one-message update, then fix
+    up the repeated ids: a repeated sender gets its second chain (its final
+    clock, written last, so the duplicate scatter's order is irrelevant); a
+    pair receiver gets ``max(clock + 2, max(c1, c2) + (c1 == c2))`` from its
+    pre-round clock — two receive slots, serialized by chain order.
 
     ``ar`` must be ``np.arange(len(src))`` (callers pass a slice of a cached
     buffer). Returns the max clock among the endpoints touched this round.
@@ -146,16 +151,17 @@ def _advance_round(
         fast_send = True
     else:
         # pairwise path: each sender sends at most twice (the degree-≤4
-        # virtual tree's relay rounds); occurrence indices are then 0/1,
-        # valid iff the later occurrences are themselves distinct
-        later = src[occ]
-        scratch[later] = ar[occ]
-        if np.array_equal(scratch[later], ar[occ]):
-            chain = clock[src] + occ + 1
-            clock[src[~occ]] += 1
-            clock[later] += 1
+        # virtual tree's relay rounds, two tour elements per processor)
+        lp = np.flatnonzero(occ)
+        later = src[lp]
+        scratch[later] = lp
+        if (scratch[later] == lp).all():
+            chain = clock[src] + 1
+            chain[lp] += 1
+            clock[src] = chain
             # a sender's final clock equals the chain of its last message,
             # so chain.max() covers the senders (as in the distinct case)
+            clock[later] = chain[lp]
             fast_send = True
         else:
             # reference send recurrence (occurrence index per sender)
@@ -179,26 +185,20 @@ def _advance_round(
         clock[dst] = upd
         dst_max = int(upd.max())
     else:
-        dlater = dst[docc]
-        scratch[dlater] = ar[docc]
-        if np.array_equal(scratch[dlater], ar[docc]):
-            # each receiver gets at most two messages: serialize the pair
-            # by chain order — arrivals max(c_min+1, c_max) on top of the
-            # two mandatory receive slots
-            pair_first = firstpos[docc]
-            c2 = chain[docc]
-            c1 = chain[pair_first]
-            gmax = np.maximum(np.minimum(c1, c2) + 1, np.maximum(c1, c2))
-            upd2 = np.maximum(clock[dlater] + 2, gmax)
+        dlp = np.flatnonzero(docc)
+        dlater = dst[dlp]
+        scratch[dlater] = dlp
+        if (scratch[dlater] == dlp).all():
+            # each receiver gets at most two messages; a pair receiver's
+            # one-message value in upd lies below its upd2
+            base = clock[dst]
+            upd = np.maximum(base + 1, chain)
+            clock[dst] = upd
+            c1 = chain[firstpos[dlp]]
+            c2 = chain[dlp]
+            upd2 = np.maximum(base[dlp] + 2, np.maximum(c1, c2) + (c1 == c2))
             clock[dlater] = upd2
-            single = ~docc
-            single[pair_first] = False
-            sd = dst[single]
-            dst_max = int(upd2.max())
-            if len(sd):
-                upd1 = np.maximum(clock[sd] + 1, chain[single])
-                clock[sd] = upd1
-                dst_max = max(dst_max, int(upd1.max()))
+            dst_max = max(int(upd.max()), int(upd2.max()))
         else:
             # reference receive recurrence (serialized arrival processing)
             rorder = np.lexsort((chain, dst))
@@ -1032,11 +1032,11 @@ class SpatialMachine:
                 rs, rd = src, dst
                 roffsets = offsets
             else:
-                rs, rd = src[remote], dst[remote]
-                keep = np.concatenate([[0], np.cumsum(remote, dtype=np.int64)])
-                roffsets = keep[offsets]
+                idx = np.flatnonzero(remote)
+                rs, rd = src[idx], dst[idx]
+                roffsets = np.searchsorted(idx, offsets)
                 if dist is not None:
-                    dist = dist[remote]
+                    dist = dist[idx]
         nonempty = np.diff(roffsets) > 0
         if not nonempty.all():
             roffsets = np.concatenate([roffsets[:1], roffsets[1:][nonempty]])

@@ -77,11 +77,12 @@ def _euler_succ(tree: Tree, child_sort_key: np.ndarray | None) -> tuple[np.ndarr
     succ = np.full(2 * len(nonroot), -1, dtype=np.int64)
     owner = np.repeat(nonroot, 2)  # child endpoint (hosting vertex)
     # children grouped by parent (csr order = ascending child id); an
-    # optional stable within-group sort by key keeps id order on ties
+    # optional stable within-group sort by key keeps id order on ties —
+    # one stable argsort of (parent, key) packed, as keys lie in [0, n]
     offsets, kids = tree.children_csr()
     gpar = parents[kids]
     if child_sort_key is not None:
-        perm = np.lexsort((child_sort_key[kids], gpar))
+        perm = np.argsort(gpar * (n + 1) + child_sort_key[kids], kind="stable")
         kids = kids[perm]
     first = np.empty(len(kids), dtype=bool)
     first[:1] = True

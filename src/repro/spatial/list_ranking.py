@@ -78,7 +78,8 @@ def list_rank(
     ----------
     succ:
         ``succ[i]`` is the element after ``i``; the tail has ``-1``. Must
-        form a single chain covering all elements.
+        form a single chain covering all elements, else ``ValidationError``
+        (a cycle beside the chain may surface only after charged rounds).
     weights:
         Per-element weights (default all ones).
     elem_proc:
@@ -138,43 +139,48 @@ def list_rank(
         raise ValidationError("succ does not describe a simple list (duplicate successor)")
     if int((cur_succ < 0).sum()) != 1:
         raise ValidationError("succ must describe exactly one list (one tail)")
+    if bool((cur_succ[live] == live).any()):
+        raise ValidationError("succ does not describe a simple list (self-loop)")
     pred[cur_succ[live]] = live
     with machine.phase("list_rank_init"):
         msg(live, cur_succ[live])  # each element introduces itself to its successor
 
     w = weights.copy()
     active = np.ones(k, dtype=bool)
-    removed_succ = np.full(k, -1, dtype=np.int64)
-    removal_round = np.full(k, -1, dtype=np.int64)
-    w_at_removal = np.zeros(k, dtype=np.int64)
+    act = np.arange(k, dtype=np.int64)  # the active elements, ascending
+    # one (removed, their successors, their weights) record per splicing
+    # round; the expansion replays them in reverse
+    splices: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # --- contraction ---
     rounds = 0
     with machine.phase("list_rank_contract"):
         if rec is not None:
             rec.mark_speculative()
-        while int(active.sum()) > base_threshold:
+        while len(act) > base_threshold:
             if rounds >= max_rounds:
                 raise ConvergenceError(
                     f"list ranking did not contract below {base_threshold} elements "
-                    f"within {max_rounds} rounds (remaining: {int(active.sum())})"
+                    f"within {max_rounds} rounds (remaining: {len(act)})"
                 )
             rounds += 1
-            act = np.flatnonzero(active)
             coins = rng.random(size=k) < coin_bias  # True = heads
             if rec is not None:
                 rec.epoch(coins, bias=coin_bias)
             # every active element with a predecessor reports its coin
-            reporters = act[pred[act] >= 0]
+            has_pred = pred[act] >= 0
+            reporters = act[has_pred]
             if len(reporters):
                 msg(reporters, pred[reporters])
             # select: heads, successor exists and flipped tails, pred exists
-            cand = act[(cur_succ[act] >= 0) & (pred[act] >= 0)]
+            cand = act[has_pred & (cur_succ[act] >= 0)]
             sel = cand[coins[cand] & ~coins[cur_succ[cand]]]
             if len(sel) == 0:
                 continue
             p = pred[sel]
             s = cur_succ[sel]
+            if bool((p == s).any()):  # a two-element cycle: the splice would close a self-loop
+                raise ValidationError("succ does not describe a simple list (cycle)")
             # splice messages: u -> p carries (succ, weight); u -> s carries
             # pred (two dependency rounds of one batch — u's port serializes)
             m = len(sel)
@@ -183,17 +189,16 @@ def list_rank(
                 np.concatenate([p, s]),
                 rounds=np.array([0, m, 2 * m]),
             )
-            removed_succ[sel] = s
-            removal_round[sel] = rounds
-            w_at_removal[sel] = w[sel]
-            w[p] += w[sel]
+            ws = w[sel]
+            splices.append((sel, s, ws))
+            w[p] += ws
             cur_succ[p] = s
             pred[s] = p
             active[sel] = False
+            act = act[active[act]]
 
     # --- sequential base case: walk from the tail along pred links ---
     ranks = np.zeros(k, dtype=np.int64)
-    act = np.flatnonzero(active)
     tail = act[cur_succ[act] < 0]
     if len(tail) != 1:
         raise ValidationError("succ must describe exactly one list (one tail)")
@@ -203,22 +208,22 @@ def list_rank(
             rec.mark_speculative()
         cur = int(tail[0])
         ranks[cur] = w[cur]
+        walked = 1
         while pred[cur] >= 0:
             nxt = int(pred[cur])
             msg(np.array([cur]), np.array([nxt]))  # carry the running rank
             ranks[nxt] = w[nxt] + ranks[cur]
             cur = nxt
+            walked += 1
+    if walked != base_size:  # the survivors off the tail's chain form cycles
+        raise ValidationError("succ does not describe a simple list (cycle)")
 
-    # --- uncontraction: reverse rounds, each removed element asks its
-    # recorded successor for its (now final) rank ---
+    # --- uncontraction: replay the splices in reverse, each removed element
+    # asking its recorded successor for its (now final) rank ---
     with machine.phase("list_rank_expand"):
         if rec is not None:
             rec.mark_speculative()
-        for r in range(rounds, 0, -1):
-            us = np.flatnonzero(removal_round == r)
-            if len(us) == 0:
-                continue
-            s = removed_succ[us]
+        for us, s, ws in reversed(splices):
             # request round, then response round with rank(s)
             m = len(us)
             msg(
@@ -226,6 +231,6 @@ def list_rank(
                 np.concatenate([s, us]),
                 rounds=np.array([0, m, 2 * m]),
             )
-            ranks[us] = w_at_removal[us] + ranks[s]
+            ranks[us] = ws + ranks[s]
 
     return ListRankResult(ranks=ranks, rounds=rounds, base_size=base_size)

@@ -224,19 +224,24 @@ def test_collectives_equivalence(n, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    k=st.integers(min_value=2, max_value=48),
+    k=st.integers(min_value=2, max_value=400),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    shared=st.booleans(),
 )
-def test_list_rank_equivalence(k, seed):
+def test_list_rank_equivalence(k, seed, shared):
+    """``shared`` hosts two elements per processor, as the Euler tour places
+    them, so the batched engine's rounds reach the pairwise clock paths."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(k)
     succ = np.full(k, -1, dtype=np.int64)
     succ[order[:-1]] = order[1:]
+    n = (k + 1) // 2 if shared else k
+    elem_proc = rng.permutation(n)[np.arange(k) // 2] if shared else None
     machines = {}
     outs = {}
     for engine in ENGINES:
-        m = SpatialMachine(k, engine=engine)
-        outs[engine] = list_rank(m, succ, seed=seed).ranks
+        m = SpatialMachine(n, engine=engine)
+        outs[engine] = list_rank(m, succ, elem_proc=elem_proc, seed=seed).ranks
         machines[engine] = m
     assert np.array_equal(outs["scalar"], outs["batched"])
     assert_machines_agree(machines["scalar"], machines["batched"])
@@ -247,20 +252,37 @@ def test_list_rank_equivalence(k, seed):
 # --------------------------------------------------------------------- #
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=40),
-    k=st.integers(min_value=1, max_value=60),
+    n=st.integers(min_value=2, max_value=400),
+    k=st.integers(min_value=1, max_value=320),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     with_dist=st.booleans(),
+    src_mult=st.sampled_from([1, 2, None]),
+    dst_mult=st.sampled_from([1, 2, None]),
 )
-def test_send_batch_fuzz_equivalence(n, k, seed, with_dist):
+def test_send_batch_fuzz_equivalence(n, k, seed, with_dist, src_mult, dst_mult):
+    """Each round draws its senders and its receivers independently with
+    multiplicity 1, at most 2 (``np.resize`` exceeds it only when the round
+    outgrows ``n * mult``) or unbounded, so rounds above the small-round
+    size reach every path of the general clock kernel. Senders and
+    receivers share one processor range, so processors both send and
+    receive; self-messages exercise the remote filter."""
     rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, size=k).astype(np.int64)
-    dst = rng.integers(0, n, size=k).astype(np.int64)  # self-messages allowed
-    n_rounds = int(rng.integers(1, k + 1))
+    n_rounds = int(rng.integers(1, 7))
     cuts = np.sort(rng.integers(0, k + 1, size=n_rounds - 1))
     rounds = np.concatenate([[0], cuts, [k]]).astype(np.int64)
+
+    def endpoints(mult):
+        parts = [
+            rng.integers(0, n, size=size) if mult is None
+            else np.resize(rng.permutation(np.repeat(np.arange(n), mult)), size)
+            for size in np.diff(rounds)
+        ]
+        return np.concatenate(parts).astype(np.int64)
+
+    src = endpoints(src_mult)
+    dst = endpoints(dst_mult)  # self-messages allowed
     vals = rng.integers(-9, 9, size=k).astype(np.int64)
     machines = {}
     for engine in ENGINES:

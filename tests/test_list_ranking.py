@@ -95,6 +95,24 @@ class TestListRank:
         with pytest.raises(ValidationError):
             list_rank(m, np.array([1, -1]), weights=np.ones(3))
 
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize(
+        "succ",
+        [[1, 0, -1], [1, 2, 0, 4, 5, -1], [0, 2, -1], [1, 0, 3, -1]],
+        ids=["two_cycle_and_tail", "three_cycle_and_chain", "self_loop", "two_cycle_and_pair"],
+    )
+    def test_cycle_beside_chain_rejected(self, succ, engine):
+        # one tail and an injective successor, yet not a single list: the
+        # splice check or (with no contraction) the base-case walk rejects it
+        succ = np.array(succ)
+        for base_threshold in (None, len(succ)):
+            for seed in range(4):
+                m = SpatialMachine(len(succ), engine=engine)
+                with pytest.raises(ValidationError):
+                    list_rank(m, succ, seed=seed, base_threshold=base_threshold)
+                if (succ == np.arange(len(succ))).any():
+                    assert m.messages == 0  # a self-loop is refused before charging
+
     def test_two_lists_rejected(self):
         m = SpatialMachine(4)
         # 0 -> 1, 2 -> 3 : two tails
