@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 import numpy as np
 
@@ -151,6 +152,14 @@ def _watchdog_stride(text: str) -> int:
     if k < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 (0 disables), got {k}")
     return k
+
+
+def _window_ms(text: str) -> float:
+    """``--window-ms`` value: 0 (no coalescing) up to ``threading.TIMEOUT_MAX`` seconds."""
+    ms = float(text)
+    if not 0 <= ms <= threading.TIMEOUT_MAX * 1000:
+        raise argparse.ArgumentTypeError(f"must be in [0, {threading.TIMEOUT_MAX * 1000:g}] ms, got {text}")
+    return ms
 
 
 def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
@@ -1094,7 +1103,6 @@ def cmd_plan(args) -> int:
 
 def cmd_serve(args) -> int:
     import signal
-    import threading
     import time
 
     from repro.plans import PlanStore
@@ -1518,7 +1526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="batched", choices=["scalar", "batched"])
     p.add_argument("--port", type=int, default=0,
                    help="TCP port (0 picks a free one; loopback only)")
-    p.add_argument("--window-ms", type=float, default=2.0, metavar="MS",
+    p.add_argument("--window-ms", type=_window_ms, default=2.0, metavar="MS",
                    help="coalescing window: LCA queries arriving within this "
                         "window merge into one batched pass (default 2 ms)")
     p.add_argument("--max-batch", type=int, default=65536, metavar="Q",

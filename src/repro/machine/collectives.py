@@ -152,7 +152,7 @@ def inclusive_scan(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.a
 
 
 def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
-    """The machine's cached all-reduce rounds: ``(src, dst, dist, rounds)``.
+    """The machine's cached all-reduce rounds: ``(src, dst, dist, rounds, lift)``.
 
     Exactly the rounds :func:`allreduce` sends with ``root=0``: the
     up-sweep, the hop from the surrogate root ``n - 1`` to processor 0
@@ -160,6 +160,11 @@ def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
     remote. Memoized under ``("barrier", n)`` with pre-gathered distances;
     the plan depends only on the placement, which the machine never
     changes.
+
+    ``lift[i]``, the longest dependency path from processor ``i``'s entry
+    clock to the final maximum, comes from one backward pass: an EREW
+    round ``s -> d`` (sends before receives) adds one to ``lift[d]`` and
+    sets ``lift[s]`` to ``max(lift[s], old lift[d]) + 1``.
     """
     key = ("barrier", machine.n)
     plan = machine.plan_cache.lookup(key)
@@ -173,7 +178,12 @@ def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
         src = np.concatenate([s for s, _ in hops])
         dst = np.concatenate([d for _, d in hops])
         rounds = np.concatenate([[0], np.cumsum([len(s) for s, _ in hops])])
-        plan = (src, dst, machine.manhattan(src, dst), rounds.astype(np.int64))
+        lift = np.zeros(n, dtype=np.int64)
+        for s, d in reversed(hops):
+            g = lift[d]
+            lift[d] = g + 1
+            lift[s] = np.maximum(lift[s], g) + 1
+        plan = (src, dst, machine.manhattan(src, dst), rounds.astype(np.int64), lift)
         machine.plan_cache[key] = plan
     return cast("tuple[np.ndarray, ...]", plan)
 
@@ -181,18 +191,17 @@ def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
 def barrier(machine: SpatialMachine) -> None:
     """Global synchronization (paper §VI-C): an all-reduce of a token.
 
-    After the barrier every processor's dependency clock is at least the
-    pre-barrier maximum, so later messages from any processor are ordered
-    after everything before the barrier. O(n) energy, O(log n) depth.
+    After the barrier every dependency clock equals the all-reduce's final
+    maximum, so later messages from any processor are ordered after
+    everything before the barrier. O(n) energy, O(log n) depth.
 
     The token carries no information, so only the all-reduce's message
     schedule matters: it is replayed from the machine's plan cache as one
     :meth:`~repro.machine.SpatialMachine.send_plan` (``exclusive=True``),
-    charging exactly what ``allreduce(machine, zeros)`` charges.
+    charging exactly what ``allreduce(machine, zeros)`` charges; its
+    ``lift`` hint raises every clock to that maximum (in closed form on
+    the batched engine).
     """
     if machine.n > 1:
-        src, dst, dist, rounds = _barrier_plan(machine)
-        machine.send_plan(src, dst, rounds=rounds, dist=dist, exclusive=True)
-    # the broadcast already raised every clock to the root's chain; make the
-    # semantics explicit and exact:
-    machine.clock[:] = machine.clock.max()
+        src, dst, dist, rounds, lift = _barrier_plan(machine)
+        machine.send_plan(src, dst, rounds=rounds, dist=dist, exclusive=True, lift=lift)

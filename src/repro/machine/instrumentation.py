@@ -84,8 +84,9 @@ class StepEvent:
     hint:
         The plan shape :meth:`SpatialMachine.send_plan` trusted for this
         batch, which picked its clock kernel: ``"paired"``, ``"exclusive"``
-        or ``"occ"``. ``None`` for unhinted batches and all ``send`` and
-        scalar-engine events.
+        or ``"occ"``, or ``"lift"`` for a barrier charged in closed form
+        with no clock kernel. ``None`` for unhinted batches and all
+        ``send`` and scalar-engine events.
     wall_ns:
         Host wall-clock nanoseconds the engine spent processing this bulk
         send, or ``None`` when no

@@ -945,6 +945,7 @@ class SpatialMachine:
         exclusive: bool = False,
         src_occ: np.ndarray | None = None,
         paired: bool = False,
+        lift: np.ndarray | None = None,
         plan_ref: tuple[object, ...] | None = None,
     ) -> np.ndarray | None:
         """Trusted replay of a cached, pre-validated message plan.
@@ -966,8 +967,12 @@ class SpatialMachine:
         EREW pairs — round ``2r+1`` replays round ``2r`` with src and dst
         exchanged over the same index sets, the compare-exchange shape of
         the cached sort-network plans — fusing each pair into one clock
-        update. Under the scalar engine this falls back to the validated
-        :meth:`send_batch` path.
+        update. ``lift`` asserts the rounds end with every clock raised to
+        their maximum, as a barrier's do: ``lift[i]`` is the longest
+        dependency path from processor ``i``'s entry clock to that maximum,
+        so the batched engine sets every clock to ``max(clock + lift)``
+        without running the clock kernels. Under the scalar engine this
+        falls back to the validated :meth:`send_batch` path, then equalizes.
 
         ``plan_ref`` (optional) names the *cached* plan these arrays came
         from — e.g. ``("sort_network", m, descending)`` — purely as
@@ -977,13 +982,14 @@ class SpatialMachine:
         plan cache. It changes no accounting.
         """
         if self.engine != "batched":
-            return self.send_batch(
-                src, dst, values, rounds=rounds, combiner=combiner, dist=dist
-            )
+            out = self.send_batch(src, dst, values, rounds=rounds, combiner=combiner, dist=dist)
+            if lift is not None:
+                self.clock.fill(self.clock.max())
+            return out
         return self._send_batched(
             src, dst, values, rounds, combiner, dist,
             all_remote=True, exclusive=exclusive, src_occ=src_occ, paired=paired,
-            plan_ref=plan_ref,
+            lift=lift, plan_ref=plan_ref,
         )
 
     def _send_batched(
@@ -999,6 +1005,7 @@ class SpatialMachine:
         exclusive: bool = False,
         src_occ: np.ndarray | None = None,
         paired: bool = False,
+        lift: np.ndarray | None = None,
         plan_ref: tuple[object, ...] | None = None,
     ) -> np.ndarray | None:
         """Vectorized engine behind :meth:`send_batch` (``engine="batched"``).
@@ -1008,8 +1015,9 @@ class SpatialMachine:
         ``exclusive=True`` asserts each round is EREW, ``src_occ`` asserts
         distinct receivers plus sender occurrence indices, and ``paired``
         asserts mirrored EREW round pairs (see
-        :func:`advance_clocks_batch`). ``src_occ`` and ``paired`` require
-        ``all_remote=True`` — they describe the unfiltered batch.
+        :func:`advance_clocks_batch`). ``src_occ``, ``paired`` and ``lift``
+        require ``all_remote=True`` — they describe the unfiltered batch;
+        ``lift`` replaces the clock kernels (see :meth:`send_plan`).
         """
         wp = self._wall_profiler
         t0 = wp.clock() if wp is not None else 0
@@ -1052,10 +1060,15 @@ class SpatialMachine:
         depth_before = self._max_clock
         ar = self._arange(len(rs))
         scratch = self._scratch()
-        adv = advance_clocks_batch(
-            self.clock, rs, rd, roffsets, scratch, ar,
-            exclusive=exclusive, src_occ=src_occ, paired=paired,
-        )
+        if lift is None:
+            adv = advance_clocks_batch(
+                self.clock, rs, rd, roffsets, scratch, ar,
+                exclusive=exclusive, src_occ=src_occ, paired=paired,
+            )
+        else:
+            top = int(np.add(self.clock, lift, out=scratch).max())
+            self.clock.fill(top)
+            adv = BatchClockAdvance(rounds=len(roffsets) - 1, max_clock=top)
         self._max_clock = max(self._max_clock, adv.max_clock)
         if wp is not None:
             t2 = wp.clock()
@@ -1111,7 +1124,8 @@ class SpatialMachine:
                 payload=payload,
                 combiner=combiner,
                 rounds=ev_off,
-                hint="paired" if paired else "exclusive" if exclusive else "occ" if src_occ is not None else None,
+                hint="lift" if lift is not None else "paired" if paired else "exclusive" if exclusive
+                else "occ" if src_occ is not None else None,
                 wall_ns=(wp.clock() - t0) if wp is not None else None,
             )
             if wp is not None:

@@ -372,8 +372,9 @@ class DeterminismSanitizer(SanitizerInstrument):
                     processors=[int(p) for p in diverged[:8]],
                 )
                 break
-        # resync to the machine's own clock: external adjustments (e.g.
-        # barrier semantics) are legitimate and must not skew later replays
+        # resync to the machine's own clock: adjustments outside the event
+        # stream (a barrier's equalization, which the machine applies after
+        # the rounds for send_plan's lift hint) must not skew later replays
         if self._machine is not None:
             self._shadow = self._machine.clock.copy()
 

@@ -192,7 +192,8 @@ class WindowedQueue:
     elapsing since the first request, or ``max_batch`` queries collected;
     other ops dispatch FIFO one at a time (and take priority, so a slow
     window build never starves them). ``window_s=0`` disables coalescing:
-    every window holds exactly one request.
+    every window holds exactly one request. ``window_s`` must lie in
+    ``[0, threading.TIMEOUT_MAX]``, the range a condition wait accepts.
     """
 
     def __init__(self, *, window_s: float, max_batch: int, max_queue: int) -> None:
@@ -200,6 +201,8 @@ class WindowedQueue:
             raise ValidationError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
+        if not 0 <= float(window_s) <= threading.TIMEOUT_MAX:
+            raise ValidationError(f"window_s must be in [0, {threading.TIMEOUT_MAX:g}] s, got {window_s}")
         self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)

@@ -254,13 +254,13 @@ class QueryService:
         tracer=None,
         prepared: PreparedLCA | None = None,
     ) -> None:
+        self.queue = WindowedQueue(
+            window_s=window_s, max_batch=max_batch, max_queue=max_queue
+        )
         self.st = st
         self.seed = seed
         self.tracer = tracer
         self.prepared = prepared if prepared is not None else st.prepare_lca(seed=seed)
-        self.queue = WindowedQueue(
-            window_s=window_s, max_batch=max_batch, max_queue=max_queue
-        )
         self.stats = ServingStats()
         self.max_batch = int(max_batch)
         self._worker: threading.Thread | None = None

@@ -143,3 +143,29 @@ class TestSanitizeExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["sanitize", "nope", "--engine", engine])
         assert exc.value.code == 2
+
+
+SERVE = ["serve", "--n", "64", "--plan-store", "", "--max-seconds", "0.2",
+         "--watchdog-sample", "0"]
+
+
+class TestServeWindowExitCodes:
+    @pytest.mark.parametrize("ms", ["-1", "nan", "inf", "1e13"])
+    def test_window_outside_wait_range_exits_two(self, ms, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*SERVE, "--window-ms", ms])
+        assert exc.value.code == 2
+        assert "--window-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [(["--window-ms", "0"], "[coalescing: window 0 ms"),
+         (["--no-coalesce"], "[coalescing OFF")],
+    )
+    def test_zero_window_and_no_coalesce_still_serve(self, flags, shown, capsys, monkeypatch):
+        import signal
+
+        # keep the test process's own SIGINT/SIGTERM handlers
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        assert main([*SERVE, *flags]) == 0
+        assert shown in capsys.readouterr().out

@@ -140,6 +140,26 @@ class TestWindowedQueue:
         kind, window = q.next_work()
         assert kind == "lca" and len(window) == 1
 
+    @pytest.mark.parametrize("window_s", [-1.0, float("nan"), float("inf"), 1e13])
+    def test_window_outside_wait_range_rejected(self, window_s):
+        # nan never closed a window, inf and 1e13 overflowed the worker's
+        # condition wait, and a negative window silently served solo
+        with pytest.raises(ValidationError, match="window_s"):
+            WindowedQueue(window_s=window_s, max_batch=100, max_queue=10)
+
+    def test_window_at_wait_limit_waits_for_the_batch(self):
+        q = WindowedQueue(window_s=threading.TIMEOUT_MAX, max_batch=2, max_queue=10)
+        q.submit(lca_req((1, 2)))
+        got = []
+        worker = threading.Thread(target=lambda: got.append(q.next_work()), daemon=True)
+        worker.start()
+        time.sleep(0.05)  # let the worker block in the window's wait
+        q.submit(lca_req((3, 4)))
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        kind, window = got[0]
+        assert kind == "lca" and len(window) == 2
+
     def test_max_batch_closes_window_early(self):
         q = WindowedQueue(window_s=10.0, max_batch=2, max_queue=10)
         for _ in range(3):

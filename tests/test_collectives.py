@@ -18,8 +18,28 @@ from repro.machine import (
     permute,
     reduce,
 )
+from repro.machine.collectives import _barrier_plan
 
 SIZES = [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 64, 100, 255, 256, 257]
+
+
+def _barrier_matches_allreduce(n, engine, metric, start):
+    """Run ``barrier`` on ``engine`` and the scalar all-reduce it replays,
+    then equalize, from clocks ``start``; assert identical clocks and
+    bills, and return the barrier's machine."""
+    m1 = SpatialMachine(n, engine=engine, metric=metric)
+    m2 = SpatialMachine(n, metric=metric)
+    m1.clock[:] = start
+    m2.clock[:] = start
+    with m1.phase("sync"):
+        barrier(m1)
+    with m2.phase("sync"):
+        allreduce(m2, np.zeros(n, dtype=np.int64))
+        m2.clock[:] = m2.clock.max()
+    assert np.array_equal(m1.clock, m2.clock)
+    assert (m1.depth, m1.energy, m1.messages, m1.steps) == (m2.depth, m2.energy, m2.messages, m2.steps)
+    assert m1.ledger.summary() == m2.ledger.summary()
+    return m1
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -78,29 +98,51 @@ class TestCollectiveCosts:
             assert m.depth <= 3 * np.log2(n)
 
     def test_barrier_synchronizes_clocks(self):
-        m = SpatialMachine(32)
-        m.send(0, 1)
-        m.send(5, 6)
-        barrier(m)
-        assert (m.clock == m.clock[0]).all()
+        """On both engines; at n=100 the all-reduce alone leaves unequal
+        clocks, so this checks the equalization too."""
+        for n in (32, 100):
+            for engine in ("scalar", "batched"):
+                m = SpatialMachine(n, engine=engine)
+                m.send(0, 1)
+                m.send(5, 6)
+                barrier(m)
+                assert (m.clock == m.depth).all(), (n, engine)
+
+    @pytest.mark.parametrize("n", [*range(2, 71), 100, 129, 257, 383])
+    def test_barrier_lift_is_the_impulse_response(self, n):
+        """``lift[i]`` is the deepest clock the all-reduce leaves when
+        processor ``i`` starts at 0 and every other clock far below."""
+        lift = _barrier_plan(SpatialMachine(n))[4]
+        m = SpatialMachine(n)
+        for i in range(n):
+            m.clock[:] = -10**9
+            m.clock[i] = 0
+            allreduce(m, np.zeros(n, dtype=np.int64))
+            assert m.clock.max() == lift[i], i
 
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 100, 4096])
     def test_barrier_plan_matches_allreduce(self, n, engine):
         """The cached barrier plan charges exactly the all-reduce it
-        replays. The scalar engine ignores ``exclusive``; under the
-        batched engine the plan runs the EREW kernel and ``allreduce`` the
-        probing one, so agreement there also proves the hint."""
+        replays. The scalar engine ignores ``exclusive`` and only reads
+        whether ``lift`` is given; under the batched engine ``allreduce``
+        runs the probing kernels and the barrier none, so agreement there
+        also proves the hints."""
         start = np.random.default_rng(n).integers(0, 4 * n, size=n)
-        m1, m2 = (SpatialMachine(n, engine=engine) for _ in range(2))
-        m1.clock[:] = start
-        m2.clock[:] = start
-        barrier(m1)
-        allreduce(m2, np.zeros(n, dtype=np.int64))
-        m2.clock[:] = m2.clock.max()
-        assert np.array_equal(m1.clock, m2.clock)
-        assert (m1.energy, m1.messages, m1.steps) == (m2.energy, m2.messages, m2.steps)
+        m1 = _barrier_matches_allreduce(n, engine, "manhattan", start)
         assert (("barrier", n) in m1.plan_cache) == (n > 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=600),
+        wide=st.booleans(),
+        metric=st.sampled_from(["manhattan", "chebyshev"]),
+        engine=st.sampled_from(["scalar", "batched"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_barrier_plan_matches_allreduce_property(self, n, wide, metric, engine, seed):
+        start = np.random.default_rng(seed).integers(0, 4 * n if wide else 3, size=n)
+        _barrier_matches_allreduce(n, engine, metric, start)
 
     def test_input_shape_checked(self):
         m = SpatialMachine(8)

@@ -217,6 +217,25 @@ class TestBootService:
         b.service.drain()
 
 
+BAD_WINDOWS = [-1.0, float("nan"), float("inf"), 1e13]
+
+
+class TestWindowValidation:
+    """A window the worker's condition wait cannot take is refused up front
+    (the worker used to spin on nan, die on inf, and serve solo on < 0)."""
+
+    @pytest.mark.parametrize("window_s", BAD_WINDOWS)
+    def test_service_rejects_window(self, tree, window_s):
+        st = SpatialTree.build(tree, curve="hilbert", engine="batched")
+        with pytest.raises(ValidationError, match="window_s"):
+            QueryService(st, window_s=window_s, seed=SEED)
+
+    @pytest.mark.parametrize("window_s", BAD_WINDOWS)
+    def test_boot_service_rejects_window(self, window_s):
+        with pytest.raises(ValidationError, match="window_s"):
+            boot_service(shape="random", n=N, seed=SEED, store=None, window_s=window_s)
+
+
 # --------------------------------------------------------------------------- #
 # admission control + drain
 # --------------------------------------------------------------------------- #

@@ -166,12 +166,22 @@ def _dist_plus_one(original):
     return mutant
 
 
+def _lift_plus_one(self, *args, **kwargs):
+    """Every ``lift`` passed to ``send_plan`` one too large: a barrier
+    leaves every clock one tick late. The scalar engine only reads whether
+    ``lift`` is given, so its runs do not move."""
+    if kwargs.get("lift") is not None:
+        kwargs["lift"] = kwargs["lift"] + 1
+    return _SEND_PLAN(self, *args, **kwargs)
+
+
 CALLER_MUTANTS: dict[str, dict[str, Callable]] = {
     "send_plan_false_exclusive": {"send_plan": _claims_exclusive},
     "dist_off_by_one": {
         "send_plan": _dist_plus_one(_SEND_PLAN),
         "send_batch": _dist_plus_one(_SEND_BATCH),
     },
+    "barrier_lift_off_by_one": {"send_plan": _lift_plus_one},
 }
 
 MUTANTS = (*KERNEL_MUTANTS, *CALLER_MUTANTS)
@@ -327,6 +337,7 @@ WITNESS = {
     "reference_fancy_add": ("treefix_virtual", "scalar"),
     "send_plan_false_exclusive": ("treefix_virtual", "batched"),
     "dist_off_by_one": ("treefix_direct", "batched"),
+    "barrier_lift_off_by_one": ("lca", "batched"),
 }
 
 
@@ -404,6 +415,13 @@ def test_step_event_hint_per_entry_point(engine):
                 rounds=np.array([0, 20, 40]), exclusive=True, paired=True,
             ),
             "paired" if batched else None,
+        ),
+        "send_plan_lift": (
+            lambda: m.send_plan(
+                *erew, rounds=np.array([0, 20]), exclusive=True,
+                lift=(np.arange(64) < 40).astype(np.int64),
+            ),
+            "lift" if batched else None,
         ),
     }
     for name, (call, hint) in calls.items():
