@@ -183,6 +183,18 @@ class PendingRequest:
         return self.result
 
 
+def check_queue_args(*, window_s: float, max_batch: int, max_queue: int) -> None:
+    """Raise :class:`ValidationError` unless a :class:`WindowedQueue` can take
+    these arguments: ``max_queue`` and ``max_batch`` at least 1, ``window_s``
+    in ``[0, threading.TIMEOUT_MAX]`` (the range a condition wait accepts)."""
+    if max_queue < 1:
+        raise ValidationError(f"max_queue must be >= 1, got {max_queue}")
+    if max_batch < 1:
+        raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
+    if not 0 <= float(window_s) <= threading.TIMEOUT_MAX:
+        raise ValidationError(f"window_s must be in [0, {threading.TIMEOUT_MAX:g}] s, got {window_s}")
+
+
 class WindowedQueue:
     """Bounded request queue with time/size-windowed LCA collection.
 
@@ -192,17 +204,12 @@ class WindowedQueue:
     elapsing since the first request, or ``max_batch`` queries collected;
     other ops dispatch FIFO one at a time (and take priority, so a slow
     window build never starves them). ``window_s=0`` disables coalescing:
-    every window holds exactly one request. ``window_s`` must lie in
-    ``[0, threading.TIMEOUT_MAX]``, the range a condition wait accepts.
+    every window holds exactly one request. The arguments must pass
+    :func:`check_queue_args`.
     """
 
     def __init__(self, *, window_s: float, max_batch: int, max_queue: int) -> None:
-        if max_queue < 1:
-            raise ValidationError(f"max_queue must be >= 1, got {max_queue}")
-        if max_batch < 1:
-            raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        if not 0 <= float(window_s) <= threading.TIMEOUT_MAX:
-            raise ValidationError(f"window_s must be in [0, {threading.TIMEOUT_MAX:g}] s, got {window_s}")
+        check_queue_args(window_s=window_s, max_batch=max_batch, max_queue=max_queue)
         self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)

@@ -43,6 +43,7 @@ from repro.serving.coalescer import (
     CoalescePlan,
     PendingRequest,
     WindowedQueue,
+    check_queue_args,
     plan_window,
     scatter_answers,
 )
@@ -562,8 +563,10 @@ def boot_service(
     when the store has nothing usable). ``boot.totals`` is the model cost
     of everything up to readiness: layout creation/replay plus the
     :func:`~repro.spatial.lca.prepare_lca` precomputation. Costs are
-    reset after boot so serving windows account from zero.
+    reset after boot so serving windows account from zero. The queue
+    arguments are checked before any boot work.
     """
+    check_queue_args(window_s=window_s, max_batch=max_batch, max_queue=max_queue)
     t0 = time.monotonic()
     mode = "cold"
     plan_key: tuple[str, int, str, str] | None = None

@@ -29,7 +29,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.machine.machine import SpatialMachine
 from repro.spatial.list_ranking import list_rank
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, euler_succ
 from repro.utils import as_index_array, check_in_range
 
 
@@ -54,14 +54,12 @@ class EulerTourList:
 def euler_tour_list(tree: Tree, *, child_key: np.ndarray | None = None) -> EulerTourList:
     """Successor pointers of the Euler tour (children ordered by ``child_key``,
     integers in ``[0, n]`` such as subtree sizes; ties keep vertex-id order)."""
-    from repro.spatial.layout_creation import _euler_succ
-
     if tree.n < 2:
         raise ValidationError("an Euler tour needs at least one edge")
     if child_key is not None:
         child_key = as_index_array(child_key, name="child_key")
         check_in_range(child_key, 0, tree.n + 1, name="child_key")
-    succ, owner = _euler_succ(tree, child_key)
+    succ, owner = euler_succ(tree, child_key)
     nonroot = np.flatnonzero(tree.parents >= 0)
     return EulerTourList(succ=succ, owner=owner, nonroot=nonroot)
 

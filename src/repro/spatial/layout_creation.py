@@ -39,7 +39,7 @@ from repro.machine.collectives import exclusive_scan
 from repro.machine.machine import SpatialMachine
 from repro.machine.routing import bitonic_sort, permute
 from repro.spatial.list_ranking import list_rank
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, euler_succ
 from repro.utils import as_index_array
 
 
@@ -57,56 +57,6 @@ class LayoutCreationResult:
     steps: int = 0
     #: the machine the pipeline ran on (clocks, ledger, instruments)
     machine: SpatialMachine | None = field(default=None, repr=False, compare=False)
-
-
-def _euler_succ(tree: Tree, child_sort_key: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Successor pointers of the Euler-tour edge list (fully vectorized).
-
-    Element ids: ``down(v) = v - 1``-style compaction is avoided for
-    clarity — element ``2e`` is the down-edge to child ``kids[e]`` and
-    ``2e + 1`` its up-edge, where ``e`` enumerates non-root vertices.
-    Returns (succ, child_of_element).
-    """
-    n = tree.n
-    parents = tree.parents
-    # element numbering: for non-root v with index j in `order_nonroot`,
-    # down-edge = 2j, up-edge = 2j + 1
-    nonroot = np.flatnonzero(parents >= 0)
-    e = np.full(n, -1, dtype=np.int64)
-    e[nonroot] = np.arange(len(nonroot))
-    succ = np.full(2 * len(nonroot), -1, dtype=np.int64)
-    owner = np.repeat(nonroot, 2)  # child endpoint (hosting vertex)
-    # children grouped by parent (csr order = ascending child id); an
-    # optional stable within-group sort by key keeps id order on ties —
-    # one stable argsort of (parent, key) packed, as keys lie in [0, n]
-    offsets, kids = tree.children_csr()
-    gpar = parents[kids]
-    if child_sort_key is not None:
-        perm = np.argsort(gpar * (n + 1) + child_sort_key[kids], kind="stable")
-        kids = kids[perm]
-    first = np.empty(len(kids), dtype=bool)
-    first[:1] = True
-    np.not_equal(gpar[1:], gpar[:-1], out=first[1:])
-    last = np.empty(len(kids), dtype=bool)
-    np.not_equal(gpar[1:], gpar[:-1], out=last[:-1])
-    last[-1:] = True
-    # arrival at v continues into its first child; for the root the tour
-    # *starts* with that edge, otherwise the down-edge into v chains to it
-    pf, cf = gpar[first], kids[first]
-    sel = parents[pf] >= 0
-    succ[2 * e[pf[sel]]] = 2 * e[cf[sel]]
-    # each child's up-edge chains to the next sibling's down-edge
-    adj = ~first[1:]
-    succ[2 * e[kids[:-1][adj]] + 1] = 2 * e[kids[1:][adj]]
-    # the last child's up-edge returns to its parent's up-edge (the root's
-    # last child's up-edge ends the tour)
-    pl, cl = gpar[last], kids[last]
-    sel = parents[pl] >= 0
-    succ[2 * e[cl[sel]] + 1] = 2 * e[pl[sel]] + 1
-    # leaves: down-edge chains directly to own up-edge
-    leaf = nonroot[np.diff(offsets)[nonroot] == 0]
-    succ[2 * e[leaf]] = 2 * e[leaf] + 1
-    return succ, owner
 
 
 @cost_contract(energy="layout_creation_energy", depth="layout_creation_depth", plan_safe=False)
@@ -159,7 +109,7 @@ def create_light_first_layout(
     proc = initial_positions  # vertex -> processor during the pipeline
 
     # ---- step 1: Euler tour (arbitrary child order) + list ranking ------
-    succ1, owner1 = _euler_succ(tree, None)
+    succ1, owner1 = euler_succ(tree, None)
     with machine.phase("euler_tour_1"):
         res1 = list_rank(machine, succ1, elem_proc=proc[owner1], seed=seed)
     ranks1 = res1.ranks  # suffix ranks; head rank = (2n-2) - rank... see below
@@ -200,7 +150,7 @@ def create_light_first_layout(
         )
 
     # ---- step 4: light-first Euler tour + ranking + compaction ----------
-    succ2, owner2 = _euler_succ(tree, sizes)
+    succ2, owner2 = euler_succ(tree, sizes)
     with machine.phase("euler_tour_2"):
         res2 = list_rank(machine, succ2, elem_proc=proc[owner2], seed=seed)
     idx2 = total - res2.ranks  # tour index of each element

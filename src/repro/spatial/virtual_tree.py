@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.trees.transform import VirtualTree, transform_tree
+from repro.trees.tree import chain_sums
 
 
 def compute_app_depth(vt: VirtualTree) -> np.ndarray:
@@ -32,14 +33,8 @@ def compute_app_depth(vt: VirtualTree) -> np.ndarray:
     virtual parent. The maximum over a family of ``d`` children is
     ``O(log d)`` by the halving construction.
     """
-    n = vt.n
-    depth = np.zeros(n, dtype=np.int64)
-    # vt.as_tree() BFS guarantees vparent is computed before its children
-    order = vt.as_tree().bfs_order()
-    for v in order[1:]:
-        if vt.is_appended[v]:
-            depth[v] = depth[vt.vparent[v]] + 1
-    return depth
+    # count the appended hops up each chain of virtual parents
+    return chain_sums(np.where(vt.is_appended, vt.vparent, -1), vt.is_appended)
 
 
 @dataclass(frozen=True)

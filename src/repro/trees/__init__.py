@@ -1,11 +1,15 @@
 """Tree substrate: data structure, generators, and sequential references.
 
-Everything in this package is *sequential* (no spatial machine involved):
+Everything in this package runs on the host (no spatial machine involved):
 it provides the inputs to, and the correctness oracles for, the spatial
-algorithms in :mod:`repro.spatial`.
+algorithms in :mod:`repro.spatial`. A :class:`Tree`'s depths, subtree
+sizes, preorders, postorders and BFS order come from pointer jumping
+(:func:`chain_sums`, over parent pointers or the :func:`euler_succ` tour);
+the sequential references are :func:`euler_tour`, :mod:`.treefix`,
+:mod:`.lca`, :mod:`.heavy_light` and :func:`transform_tree`.
 """
 
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, chain_sums, euler_succ
 from repro.trees.generators import (
     birth_death_phylogeny,
     binary_spine_tree,
@@ -41,6 +45,8 @@ from repro.trees.forest import ForestIndex, combine_forest, split_forest_values
 
 __all__ = [
     "Tree",
+    "chain_sums",
+    "euler_succ",
     "birth_death_phylogeny",
     "binary_spine_tree",
     "caterpillar_tree",

@@ -253,6 +253,8 @@ def prufer_random_tree(n: int, *, seed=None, root: int = 0) -> Tree:
     realistic (non-star) skew.
     """
     n = check_positive(n, name="n")
+    if not 0 <= root < n:
+        raise ValidationError(f"root must lie in [0, {n}), got {root}")
     if n == 1:
         return Tree(np.array([-1], dtype=np.int64), validate=False)
     if n == 2:
@@ -260,17 +262,17 @@ def prufer_random_tree(n: int, *, seed=None, root: int = 0) -> Tree:
         return Tree(parents, validate=False)
     rng = resolve_rng(seed)
     seq = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=np.int64)
-    np.add.at(degree, seq, 1)
-    edges = []
-    # classic linear-time decoding with a moving "leaf pointer"
+    degree = (np.bincount(seq, minlength=n) + 1).tolist()
+    # classic linear-time decoding with a moving "leaf pointer": each
+    # removed leaf hangs off the entry it meets, which roots the tree at
+    # n - 1, the last vertex left
+    parents = [-1] * n
     ptr = 0
     while degree[ptr] != 1:
         ptr += 1
     leaf = ptr
-    for s in seq:
-        s = int(s)
-        edges.append((leaf, s))
+    for s in seq.tolist():
+        parents[leaf] = s
         degree[s] -= 1
         if degree[s] == 1 and s < ptr:
             leaf = s
@@ -279,8 +281,14 @@ def prufer_random_tree(n: int, *, seed=None, root: int = 0) -> Tree:
             while degree[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return Tree.from_edges(n, edges, root=root)
+    parents[leaf] = n - 1
+    # re-root at `root`: reverse the one path from root up to n - 1
+    prev, v = -1, root
+    while v != -1:
+        up = parents[v]
+        parents[v] = prev
+        prev, v = v, up
+    return Tree(np.array(parents, dtype=np.int64), validate=False)
 
 
 def binary_spine_tree(n: int, *, seed=None) -> Tree:

@@ -1,9 +1,12 @@
-"""Sequential tree traversals and orders.
+"""Tree traversals and orders.
 
 These are the *reference* orders: the spatial layout code in
 :mod:`repro.layout` defines the paper's light-first order on top of them,
-and tests cross-check the spatial (on-machine) algorithms against these
-sequential implementations.
+and tests cross-check the spatial (on-machine) algorithms against them.
+The depth-first orders come from :meth:`Tree.preorder_positions` (pointer
+jumping, no per-vertex loop); ``_ordered_children`` is the per-vertex
+child sort that the sequential :func:`repro.trees.euler.euler_tour` and
+:func:`repro.trees.transform.transform_tree` walk.
 """
 
 from __future__ import annotations
@@ -30,38 +33,21 @@ def dfs_preorder(tree: Tree, *, child_key: np.ndarray | None = None) -> np.ndarr
 
     ``child_key`` optionally reorders each vertex's children ascending by
     the key (stable in vertex id); ``child_key = subtree_sizes`` yields
-    exactly the paper's light-first visit order.
+    exactly the paper's light-first visit order. The sequence inverts
+    :meth:`Tree.preorder_positions`.
     """
-    children = _ordered_children(tree, child_key)
-    order = np.empty(tree.n, dtype=np.int64)
-    stack = [tree.root]
-    i = 0
-    while stack:
-        v = stack.pop()
-        order[i] = v
-        i += 1
-        # push reversed so the first child is popped first
-        stack.extend(children[v][::-1])
-    return order
+    return position_of(tree.preorder_positions(child_key))
 
 
 def dfs_postorder(tree: Tree, *, child_key: np.ndarray | None = None) -> np.ndarray:
-    """Depth-first postorder visit sequence (children before parents)."""
-    children = _ordered_children(tree, child_key)
-    order = np.empty(tree.n, dtype=np.int64)
-    i = 0
-    # iterative two-phase DFS: (vertex, expanded?) frames
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if expanded:
-            order[i] = v
-            i += 1
-        else:
-            stack.append((v, True))
-            for c in children[v][::-1]:
-                stack.append((int(c), False))
-    return order
+    """Depth-first postorder visit sequence (children before parents).
+
+    A vertex finishes after its ``s(v) - 1`` descendants and after every
+    vertex preceding it in preorder except its ``depth(v)`` ancestors, so
+    its postorder position is ``pre(v) - depth(v) + s(v) - 1``.
+    """
+    pre = tree.preorder_positions(child_key)
+    return position_of(pre - tree.depths() + tree.subtree_sizes() - 1)
 
 
 def bfs_order(tree: Tree) -> np.ndarray:
@@ -70,7 +56,11 @@ def bfs_order(tree: Tree) -> np.ndarray:
 
 
 def position_of(order: np.ndarray) -> np.ndarray:
-    """Invert a visit sequence: ``position_of(order)[v]`` is the rank of ``v``."""
+    """Invert a visit sequence: ``position_of(order)[v]`` is the rank of ``v``.
+
+    Inverting a permutation is its own inverse, so this also turns
+    per-vertex positions back into the visit sequence.
+    """
     pos = np.empty(len(order), dtype=np.int64)
     pos[order] = np.arange(len(order), dtype=np.int64)
     return pos

@@ -2,9 +2,13 @@
 
 A tree on ``n`` vertices is stored as a *parents array*: ``parents[v]`` is
 the parent of vertex ``v`` and ``parents[root] == -1``. All derived
-structure (children lists in CSR form, depths, subtree sizes) is computed
-vectorized and cached on first use, so a :class:`Tree` is cheap to pass
-around and safe to share: it is immutable after construction.
+structure is computed vectorized and cached on first use, so a
+:class:`Tree` is cheap to pass around and safe to share: it is immutable
+after construction. Children lists are one sort (CSR form); depths,
+subtree sizes, preorder positions and the BFS order come from the paper's
+§IV recipe run on the host by pointer jumping (:func:`chain_sums` over
+parent pointers or over the Euler tour of :func:`euler_succ`), so each
+takes O(log n) numpy passes on every tree shape, paths included.
 
 Table I correspondence:
 
@@ -22,6 +26,83 @@ import numpy as np
 
 from repro.errors import TreeStructureError, ValidationError
 from repro.utils import as_index_array
+
+
+def chain_sums(nxt: np.ndarray, w: np.ndarray | int) -> np.ndarray:
+    """Sum of ``w`` along every chain ``i, nxt[i], nxt[nxt[i]], …`` up to ``-1``.
+
+    Wyllie's pointer jumping: a sentinel element ``n`` absorbs finished
+    chains, and every jump doubles the stretch each pointer spans, so a
+    chain of at most ``n`` elements ends within ``⌈log2 n⌉`` jumps. ``nxt``
+    holds indices in ``[-1, n)``; ``w`` is an array of length ``n`` or a
+    scalar. Raises :class:`TreeStructureError` after ``⌈log2 n⌉ + 1`` jumps
+    if some chain never reaches ``-1`` (``nxt`` has a cycle).
+    """
+    n = len(nxt)
+    ptr = np.full(n + 1, n, dtype=np.int64)
+    np.copyto(ptr[:n], nxt, where=nxt >= 0)
+    acc = np.zeros(n + 1, dtype=np.int64)
+    acc[:n] = w
+    for _ in range((n - 1).bit_length() + 1):
+        if ptr.min() == n:
+            return acc[:n]
+        acc += acc[ptr]
+        ptr = ptr[ptr]
+    raise TreeStructureError(
+        "a pointer chain never reaches -1: the pointers contain a cycle (in a"
+        " parents array, a cycle or vertices unreachable from the root)"
+    )
+
+
+def euler_succ(tree: Tree, child_sort_key: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Successor pointers of the Euler-tour edge list (paper §IV step 1).
+
+    The tour has ``2(n-1)`` elements: for the ``j``-th non-root vertex (in
+    id order) element ``2j`` is its down-edge and ``2j + 1`` its up-edge.
+    Children are visited in id order, or ascending by ``child_sort_key``
+    (integers in ``[0, n]``, ties in id order). The tour starts at the
+    root's first down-edge and its last element's successor is ``-1``.
+    Returns ``(succ, owner)`` where ``owner[e]`` is the child endpoint of
+    element ``e`` (the vertex hosting it).
+    """
+    n = tree.n
+    parents = tree.parents
+    nonroot = np.flatnonzero(parents >= 0)
+    e = np.full(n, -1, dtype=np.int64)
+    e[nonroot] = np.arange(len(nonroot))
+    succ = np.full(2 * len(nonroot), -1, dtype=np.int64)
+    owner = np.repeat(nonroot, 2)
+    # children grouped by parent (csr order = ascending child id); an
+    # optional stable within-group sort by key keeps id order on ties —
+    # one stable argsort of (parent, key) packed, as keys lie in [0, n]
+    offsets, kids = tree.children_csr()
+    gpar = parents[kids]
+    if child_sort_key is not None:
+        perm = np.argsort(gpar * (n + 1) + child_sort_key[kids], kind="stable")
+        kids = kids[perm]
+    first = np.empty(len(kids), dtype=bool)
+    first[:1] = True
+    np.not_equal(gpar[1:], gpar[:-1], out=first[1:])
+    last = np.empty(len(kids), dtype=bool)
+    np.not_equal(gpar[1:], gpar[:-1], out=last[:-1])
+    last[-1:] = True
+    # arrival at v continues into its first child; for the root the tour
+    # *starts* with that edge, otherwise the down-edge into v chains to it
+    pf, cf = gpar[first], kids[first]
+    sel = parents[pf] >= 0
+    succ[2 * e[pf[sel]]] = 2 * e[cf[sel]]
+    # each child's up-edge chains to the next sibling's down-edge
+    adj = ~first[1:]
+    succ[2 * e[kids[:-1][adj]] + 1] = 2 * e[kids[1:][adj]]
+    # the last child's up-edge returns to its parent's up-edge (the root's
+    # last child's up-edge ends the tour)
+    pl, cl = gpar[last], kids[last]
+    sel = parents[pl] >= 0
+    succ[2 * e[cl[sel]] + 1] = 2 * e[pl[sel]] + 1
+    # leaves: down-edge chains directly to own up-edge
+    leaf = nonroot[np.diff(offsets)[nonroot] == 0]
+    succ[2 * e[leaf]] = 2 * e[leaf] + 1
+    return succ, owner
 
 
 class Tree:
@@ -69,7 +150,8 @@ class Tree:
         self._subtree_sizes: np.ndarray | None = None
         self._bfs_order: np.ndarray | None = None
         if validate:
-            self._check_connected()
+            # raises TreeStructureError on a cycle or an unreachable vertex
+            self.bfs_order()
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -145,14 +227,13 @@ class Tree:
 
     def _build_children(self) -> None:
         n = self.n
-        mask = self._parents >= 0
-        kids = np.flatnonzero(mask)
+        kids = np.flatnonzero(self._parents >= 0)
         pars = self._parents[kids]
-        order = np.argsort(pars, kind="stable")
-        targets = kids[order]
+        # the keys parent * n + child are distinct, so one plain sort groups
+        # the children by parent in id order
+        targets = np.sort(pars * n + kids) % n
         offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(offsets, pars + 1, 1)
-        offsets = np.cumsum(offsets)
+        np.cumsum(np.bincount(pars, minlength=n), out=offsets[1:])
         offsets.setflags(write=False)
         targets.setflags(write=False)
         self._child_offsets = offsets
@@ -199,32 +280,23 @@ class Tree:
         return np.flatnonzero(self.is_leaf())
 
     def bfs_order(self) -> np.ndarray:
-        """Vertices in breadth-first order from the root (level by level)."""
+        """Vertices in breadth-first order from the root (level by level).
+
+        Children enter the queue in id order, so within a level the BFS
+        sorts vertices by their root paths, as the id-order preorder does:
+        the order is one ``lexsort`` by (depth, preorder position).
+        """
         if self._bfs_order is None:
-            offsets, targets = self.children_csr()
-            order = np.empty(self.n, dtype=np.int64)
-            order[0] = self._root
-            head, tail = 0, 1
-            while head < tail:
-                v = order[head]
-                head += 1
-                kids = targets[offsets[v] : offsets[v + 1]]
-                order[tail : tail + len(kids)] = kids
-                tail += len(kids)
-            if tail != self.n:
-                raise TreeStructureError(
-                    "parents array contains a cycle or vertices unreachable from the root"
-                )
+            order = np.lexsort((self.preorder_positions(), self.depths()))
             order.setflags(write=False)
             self._bfs_order = order
         return self._bfs_order
 
     def depths(self) -> np.ndarray:
-        """Depth of every vertex (root has depth 0)."""
+        """Depth of every vertex (root has depth 0): the number of non-root
+        vertices on its root path, summed by :func:`chain_sums`."""
         if self._depths is None:
-            depths = np.zeros(self.n, dtype=np.int64)
-            for v in self.bfs_order()[1:]:
-                depths[v] = depths[self._parents[v]] + 1
+            depths = chain_sums(self._parents, self._parents >= 0)
             depths.setflags(write=False)
             self._depths = depths
         return self._depths
@@ -236,34 +308,45 @@ class Tree:
     def subtree_sizes(self) -> np.ndarray:
         """Table I ``s(v)``: number of descendants of ``v`` including ``v``.
 
-        Computed by accumulating counts from leaves to root in reverse BFS
-        order (each vertex appears after its parent in BFS order, so the
-        reverse order processes all children before their parent).
+        Paper §IV step 1b: the Euler tour from ``v``'s down-edge to its
+        up-edge holds ``2 s(v)`` elements, so over the tour's suffix ranks
+        (one :func:`chain_sums` of ones along :func:`euler_succ`)
+        ``s(v) = (rank(down_v) - rank(up_v) + 1) / 2``.
         """
         if self._subtree_sizes is None:
-            sizes = np.ones(self.n, dtype=np.int64)
-            order = self.bfs_order()
-            for v in order[::-1]:
-                p = self._parents[v]
-                if p >= 0:
-                    sizes[p] += sizes[v]
+            sizes = np.full(self.n, self.n, dtype=np.int64)
+            if self.n > 1:
+                succ, owner = euler_succ(self, None)
+                rank = chain_sums(succ, 1)
+                sizes[owner[0::2]] = (rank[0::2] - rank[1::2] + 1) // 2
             sizes.setflags(write=False)
             self._subtree_sizes = sizes
         return self._subtree_sizes
 
+    def preorder_positions(self, child_key: np.ndarray | None = None) -> np.ndarray:
+        """Position of every vertex in the depth-first preorder.
+
+        Children are visited ascending by ``child_key`` (ties in id order;
+        id order when None). Child ``c`` sits ``off(c) = 1 + Σ s(earlier
+        siblings)`` places after its parent, so its position is the sum of
+        ``off`` along its root path: one :func:`chain_sums`.
+        :func:`repro.trees.traversal.dfs_preorder` is the inverse
+        permutation, the visit sequence.
+        """
+        sizes = self.subtree_sizes()
+        offsets, kids = self.children_csr()
+        gpar = self._parents[kids]
+        if child_key is not None:
+            kids = kids[np.lexsort((np.asarray(child_key)[kids], gpar))]
+        sz = sizes[kids]
+        before = np.cumsum(sz) - sz
+        off = np.zeros(self.n, dtype=np.int64)
+        off[kids] = before - before[offsets[gpar]] + 1
+        return chain_sums(self._parents, off)
+
     # ------------------------------------------------------------------ #
     # structural checks & transforms
     # ------------------------------------------------------------------ #
-
-    def _check_connected(self) -> None:
-        # BFS must reach all vertices; anything unreached implies a cycle or
-        # forest component detached from the root.
-        try:
-            order = self.bfs_order()
-        except IndexError as exc:  # pragma: no cover - defensive
-            raise TreeStructureError("parents array is malformed") from exc
-        if len(np.unique(order)) != self.n:
-            raise TreeStructureError("parents array contains a cycle or unreachable vertices")
 
     def relabel(self, new_ids: np.ndarray) -> "Tree":
         """Return a tree where old vertex ``v`` becomes ``new_ids[v]``.

@@ -235,6 +235,19 @@ class TestWindowValidation:
         with pytest.raises(ValidationError, match="window_s"):
             boot_service(shape="random", n=N, seed=SEED, store=None, window_s=window_s)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"window_s": w} for w in BAD_WINDOWS] + [{"max_batch": 0}, {"max_queue": 0}],
+        ids=[f"window_s={w}" for w in BAD_WINDOWS] + ["max_batch=0", "max_queue=0"],
+    )
+    def test_boot_service_checks_queue_before_boot(self, monkeypatch, bad):
+        def no_boot(*args, **kwargs):
+            raise AssertionError("boot_service built a tree before checking its queue arguments")
+
+        monkeypatch.setattr("repro.serving.service.make_tree", no_boot)
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            boot_service(shape="random", n=N, seed=SEED, store=None, **bad)
+
 
 # --------------------------------------------------------------------------- #
 # admission control + drain

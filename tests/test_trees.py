@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TreeStructureError, ValidationError
+from repro.layout.orders import light_first_order
+from repro.plans import TREE_SHAPES, make_tree
 from repro.trees import (
     Tree,
     birth_death_phylogeny,
     caterpillar_tree,
+    chain_sums,
     complete_kary_tree,
     decision_tree_shape,
+    dfs_postorder,
+    dfs_preorder,
     path_tree,
     perfect_kary_tree,
+    position_of,
     preferential_attachment_tree,
     prufer_random_tree,
     random_attachment_tree,
     random_binary_tree,
     star_tree,
 )
+from tests import tree_oracles as oracle
+from tests.conftest import TREE_ZOO
 
 
 class TestTreeConstruction:
@@ -208,3 +216,174 @@ class TestGenerators:
             t = gen(n, seed=seed)
             # Tree() would raise on malformed structure; revalidate explicitly
             Tree(t.parents.copy())
+
+
+# --------------------------------------------------------------------------- #
+# pointer jumping against the per-vertex loop oracles (tests/tree_oracles.py)
+# --------------------------------------------------------------------------- #
+
+
+def assert_matches_oracle(tree: Tree) -> None:
+    """Every pointer-jumped structure equals the loop oracle's, bit for bit,
+    with children in id order and ascending by ``sizes`` and ``-sizes``."""
+    sizes = oracle.subtree_sizes(tree)
+    want = {"bfs_order": oracle.bfs_order(tree), "depths": oracle.depths(tree), "subtree_sizes": sizes}
+    got = {"bfs_order": tree.bfs_order(), "depths": tree.depths(), "subtree_sizes": tree.subtree_sizes()}
+    for label, key in (("id", None), ("sizes", sizes), ("neg_sizes", -sizes)):
+        pre = oracle.dfs_preorder(tree, child_key=key)
+        want[f"dfs_preorder/{label}"] = pre
+        got[f"dfs_preorder/{label}"] = dfs_preorder(tree, child_key=key)
+        want[f"preorder_positions/{label}"] = position_of(pre)
+        got[f"preorder_positions/{label}"] = tree.preorder_positions(key)
+        want[f"dfs_postorder/{label}"] = oracle.dfs_postorder(tree, child_key=key)
+        got[f"dfs_postorder/{label}"] = dfs_postorder(tree, child_key=key)
+    for name, expected in want.items():
+        assert got[name].dtype == expected.dtype == np.int64, name
+        assert np.array_equal(got[name], expected), name
+    assert tree.height() == int(want["depths"].max())
+
+
+ORACLE_SIZES = (1, 2, 3, 17, 5000)
+ORACLE_TREES = {
+    **{f"zoo-{name}": make for name, make in TREE_ZOO.items()},
+    **{
+        f"{shape}-{n}": (lambda shape=shape, n=n: make_tree(shape, n, 7))
+        for shape in TREE_SHAPES
+        for n in ORACLE_SIZES
+    },
+    "path-32768": lambda: path_tree(1 << 15),
+    "caterpillar-32768": lambda: caterpillar_tree(1 << 15),
+    "decision-32768": lambda: decision_tree_shape(1 << 15, seed=3),
+    **{
+        f"prufer-{n}-root{root}": (lambda n=n, root=root: prufer_random_tree(n, seed=n, root=root))
+        for n in (3, 17, 5000)
+        for root in (1, n // 2, n - 2)
+    },
+}
+
+
+@st.composite
+def labelled_parents(draw):
+    """A parents array with random labels and a random root: vertex ``k`` of
+    a random recursive tree picks its parent among the ``reach`` vertices
+    made before it (1: a path, all: uniform attachment)."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    reach = draw(st.sampled_from([1, 2, 3, 8, n]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(1, n)
+    lo = np.maximum(k - reach, 0)
+    made_from = lo + (rng.random(n - 1) * (k - lo)).astype(np.int64)
+    label = rng.permutation(n)
+    parents = np.full(n, -1, dtype=np.int64)
+    parents[label[1:]] = label[made_from]
+    return parents
+
+
+def _cycle_in_caterpillar():
+    # spine vertex 100 hangs below spine vertex 2000, its own descendant:
+    # a cycle of 1901 spine vertices with a leaf under each
+    parents = caterpillar_tree(5000).parents.copy()
+    parents[100] = 2000
+    return parents
+
+
+def _detached_path_cycle():
+    # 1000 -> 4999 -> 4998 -> ... -> 1000, detached from the path 0..999
+    parents = np.arange(-1, 4999, dtype=np.int64)
+    parents[1000] = 4999
+    return parents
+
+
+CYCLIC = {
+    "two-cycle-below-root": lambda: np.array([-1, 2, 1, 0]),
+    "detached-two-cycle": lambda: np.array([-1, 2, 1]),
+    "self-loop": lambda: np.array([-1, 1]),
+    "childless-root": lambda: np.array([1, 2, 0, -1]),
+    "caterpillar-cycle": _cycle_in_caterpillar,
+    "detached-path-cycle": _detached_path_cycle,
+}
+
+DERIVED = {
+    "depths": lambda t: t.depths(),
+    "height": lambda t: t.height(),
+    "subtree_sizes": lambda t: t.subtree_sizes(),
+    "bfs_order": lambda t: t.bfs_order(),
+    "preorder_positions": lambda t: t.preorder_positions(),
+    "dfs_preorder": dfs_preorder,
+    "dfs_postorder": dfs_postorder,
+    "light_first_order": light_first_order,
+    "is_ancestor": lambda t: t.is_ancestor(t.root, t.n - 1),
+}
+
+
+class TestPointerJumping:
+    @pytest.mark.parametrize("name", sorted(ORACLE_TREES))
+    def test_fixed_trees_match_oracle(self, name):
+        assert_matches_oracle(ORACLE_TREES[name]())
+
+    @given(parents=labelled_parents())
+    @settings(max_examples=60, deadline=None)
+    def test_random_labelled_trees_match_oracle(self, parents):
+        assert_matches_oracle(Tree(parents))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 5000, 1 << 16])
+    def test_prufer_matches_edge_list_decode(self, n):
+        for root in sorted({0, 1 % n, n // 2, max(n - 2, 0), n - 1}):
+            seed = 10 if n == 1 << 16 else n + root
+            got = prufer_random_tree(n, seed=seed, root=root)
+            want = oracle.prufer_random_tree(n, seed=seed, root=root)
+            assert got.root == root
+            assert got.parents.dtype == np.int64
+            assert np.array_equal(got.parents, want.parents), (n, root)
+
+    def test_prufer_rejects_root_outside_tree(self):
+        for n, root in ((1, 1), (5, -1), (5, 5)):
+            with pytest.raises(ValidationError, match="root"):
+                prufer_random_tree(n, seed=0, root=root)
+
+    @pytest.mark.parametrize("method", sorted(DERIVED))
+    @pytest.mark.parametrize("name", sorted(CYCLIC))
+    def test_cyclic_parents_raise_from_derived(self, name, method):
+        tree = Tree(CYCLIC[name](), validate=False)
+        with pytest.raises(TreeStructureError):
+            DERIVED[method](tree)
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC))
+    def test_cyclic_parents_rejected_at_construction(self, name):
+        with pytest.raises(TreeStructureError):
+            Tree(CYCLIC[name]())
+
+
+class TestChainSums:
+    @given(n=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_walking_each_chain(self, n, seed):
+        # a random forest of chains: relabelled nxt[k] in [-1, k)
+        rng = np.random.default_rng(seed)
+        k = np.arange(n)
+        made_from = (rng.random(n) * (k + 1)).astype(np.int64) - 1
+        label = rng.permutation(n)
+        nxt = np.full(n, -1, dtype=np.int64)
+        nxt[label] = np.where(made_from >= 0, label[np.maximum(made_from, 0)], -1)
+        w = rng.integers(-5, 6, size=n)
+        want = np.zeros(n, dtype=np.int64)
+        for i in range(n):
+            j = i
+            while j != -1:
+                want[i] += w[j]
+                j = nxt[j]
+        got = chain_sums(nxt, w)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_scalar_weight_counts_chain_length(self):
+        nxt = np.arange(1, 1001, dtype=np.int64)
+        nxt[-1] = -1
+        assert np.array_equal(chain_sums(nxt, 1), np.arange(1000, 0, -1))
+
+    @pytest.mark.parametrize(
+        "nxt", [[0], [1, 0], [1, 2, 0, -1], [-1, 0, 3, 2], list(range(1, 5000)) + [0]]
+    )
+    def test_cycle_raises(self, nxt):
+        with pytest.raises(TreeStructureError):
+            chain_sums(np.array(nxt, dtype=np.int64), 1)
