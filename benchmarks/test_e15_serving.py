@@ -21,10 +21,9 @@ one artifact, keyed by ``(scenario, n)``:
   the §IV live pipeline boot vs the stored-plan replay boot (best of
   ``BOOT_ROUNDS``), same seed, answers asserted identical.
 
-Latency/throughput columns classify as the host-dependent ``latency`` /
-``throughput`` metric kinds — visible in ``bench trend``, gated only via
-the opt-in ``--max-latency-regress`` / ``--max-throughput-regress`` flags
-(like wall), never by the default CI energy gate.
+Latency/throughput columns are host times: ``bench compare`` and
+``bench trend`` show them but gate only energy and depth. Host time is
+measured by the repository benchmark, ``perfbench/``.
 """
 
 from __future__ import annotations

@@ -13,15 +13,14 @@ module pins one normalized form and builds the comparison workflow on it:
   through untouched; ``compare_reports`` handles both kinds).
 * :func:`compare_reports` — row-by-row / phase-by-phase deltas between a
   baseline and a new report, with *regression gating*: metric columns
-  classified as energy-, depth- or wall-clock-like (:func:`metric_kind`)
-  must not grow past the configured tolerance. Energy gates by default;
-  the depth and wall gates are opt-in (wall numbers are host-dependent,
-  so the wall gate is for same-host CI lanes only). Rows or phases
-  present on only one side are reported as added/removed, never crashed
-  on.
+  classified as energy- or depth-like (:func:`metric_kind`) must not
+  grow past the configured tolerance. Energy gates by default, depth on
+  request. Host time is not gated here: ``perfbench/`` measures it,
+  repeated and calibrated. Rows or phases present on only one side are
+  reported as added/removed, never crashed on.
 * :func:`format_comparison` — the aligned ASCII rendering the
   ``repro bench compare`` CLI prints; the CLI exits nonzero iff
-  ``comparison.ok`` is false. This is the CI perf gate.
+  ``comparison.ok`` is false. This is the CI energy gate.
 
 **Bench history** (``BENCH_HISTORY.jsonl``): an append-only log of
 normalized benchmark rows — one JSON line per (benchmark, row_key) per
@@ -35,6 +34,7 @@ noise-tolerant latest-vs-history delta (``repro bench record`` /
 from __future__ import annotations
 
 import json
+import math
 import re
 import statistics
 import time
@@ -56,38 +56,39 @@ DEFAULT_HISTORY = Path("benchmarks/results/BENCH_HISTORY.jsonl")
 
 
 def parse_percent(text) -> float:
-    """``"10%"`` → 0.10; ``"0.1"`` → 0.10. Fractions and percents both work."""
+    """``"10%"`` → 0.10; ``"0.1"`` → 0.10. Fractions and percents both work.
+
+    A tolerance must be finite and ≥ 0: ``nan`` would switch a gate off
+    (no growth compares greater than it), ``inf`` would pass any growth,
+    and a negative one would fail an unchanged metric.
+    """
     if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip()
-    try:
-        if s.endswith("%"):
-            return float(s[:-1]) / 100.0
-        return float(s)
-    except ValueError:
-        raise ValidationError(f"cannot parse {text!r} as a percentage") from None
+        value = float(text)
+    else:
+        s = str(text).strip()
+        try:
+            value = float(s[:-1]) / 100.0 if s.endswith("%") else float(s)
+        except ValueError:
+            raise ValidationError(f"cannot parse {text!r} as a percentage") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
-#: kinds where *shrinking* is the regression (more is better)
-INVERTED_KINDS = ("throughput",)
-
-_LATENCY_RE = re.compile(r"(?:^|_)p\d{1,3}(?:_|$)")
+#: the model-cost kinds the gates compare
+GATED_KINDS = ("energy", "depth")
 
 
 def metric_kind(column: str) -> str | None:
-    """Classify a row column: ``"energy"``, ``"depth"``, ``"wall"``,
-    ``"latency"``, ``"throughput"`` or None.
+    """Classify a row column: ``"energy"``, ``"depth"`` or None.
 
     Matches the naming conventions used across the benchmark suite:
     ``energy``, ``energy/n``, ``E/(n·log2n)``, ``spatial_E`` are
-    energy-like; ``depth``, ``D/log2n``, ``spatial_D`` depth-like;
-    ``scalar_s``, ``batched_s``, ``wall_*`` host wall-clock. Serving
-    columns — percentile latencies (``p50_ms``/``p99_ms``), ``latency_*``,
-    ``ttfa_*`` — are latency-like and ``qps``/``rps``/``throughput``
-    columns throughput-like; both are host-dependent like wall, so their
-    gates are opt-in, and a throughput regression is a *decrease*. Ratio
-    columns (``E_ratio``, ``speedup_ratio``) are informational only — a
-    ratio against a baseline implementation is not a cost of ours.
+    energy-like; ``depth``, ``D/log2n``, ``spatial_D`` depth-like. Host
+    times (``wall_s``, ``p99_ms``, ``qps``) are None: they depend on the
+    machine that ran the benchmark. Ratio columns (``E_ratio``,
+    ``speedup_ratio``) are informational only — a ratio against a
+    baseline implementation is not a cost of ours.
     """
     name = str(column)
     low = name.lower()
@@ -97,20 +98,6 @@ def metric_kind(column: str) -> str | None:
         return "energy"
     if "depth" in low or name == "D" or name.startswith("D/") or name.endswith("_D"):
         return "depth"
-    # latency/throughput must outrank the wall suffix rules: p99_ms ends
-    # in _ms but gates as latency, qps_* as throughput
-    if "qps" in low or "rps" in low or "throughput" in low:
-        return "throughput"
-    if "latency" in low or "ttfa" in low or _LATENCY_RE.search(low):
-        return "latency"
-    if (
-        "wall" in low
-        or low.endswith("_s")
-        or low.endswith("_ms")
-        or low.endswith("_ns")
-        or low in ("seconds", "s")
-    ):
-        return "wall"
     return None
 
 
@@ -212,12 +199,7 @@ def load_bench(path) -> RunReport:
 
 @dataclass
 class Regression:
-    """One gated metric that moved past its tolerance.
-
-    ``increase`` is the fractional regression magnitude: growth for cost
-    metrics (energy/depth/wall/latency), shrinkage for inverted kinds
-    (throughput, where less is worse).
-    """
+    """One gated metric that grew past its tolerance."""
 
     row: str
     column: str
@@ -227,10 +209,9 @@ class Regression:
     increase: float  # fractional, e.g. 0.21 for +21%
 
     def describe(self) -> str:
-        sign = "-" if self.kind in INVERTED_KINDS else "+"
         return (
             f"{self.row} · {self.column}: {self.baseline:g} → {self.new:g} "
-            f"({sign}{100 * self.increase:.1f}%, {self.kind} tolerance exceeded)"
+            f"(+{100 * self.increase:.1f}%, {self.kind} tolerance exceeded)"
         )
 
 
@@ -284,20 +265,13 @@ def compare_reports(
     *,
     max_energy_regress: float | str | None = "10%",
     max_depth_regress: float | str | None = None,
-    max_wall_regress: float | str | None = None,
-    max_latency_regress: float | str | None = None,
-    max_throughput_regress: float | str | None = None,
 ) -> BenchComparison:
-    """Diff two reports and gate energy/depth/wall-like metrics.
+    """Diff two reports and gate energy/depth-like metrics.
 
     Works on benchmark/scaling reports (row-matched by ``row_key``, by
     position when the key is empty) and on run reports (phase-matched via
     :func:`~repro.analysis.report.diff_reports`). A ``None`` tolerance
     disables that gate; improvements and un-gated columns always pass.
-    The wall, latency and throughput gates are off by default — those
-    numbers are host-dependent, so only enable them when both artifacts
-    came from the same machine. Throughput gates on *decrease* (fewer
-    queries/sec is the regression); every other kind gates on growth.
     """
     if (baseline.kind == "run") != (new.kind == "run"):
         raise ValidationError(
@@ -306,11 +280,6 @@ def compare_reports(
     tolerances = {
         "energy": None if max_energy_regress is None else parse_percent(max_energy_regress),
         "depth": None if max_depth_regress is None else parse_percent(max_depth_regress),
-        "wall": None if max_wall_regress is None else parse_percent(max_wall_regress),
-        "latency": None if max_latency_regress is None else parse_percent(max_latency_regress),
-        "throughput": (
-            None if max_throughput_regress is None else parse_percent(max_throughput_regress)
-        ),
     }
     if baseline.kind == "run":
         a_rows, key = _run_rows(baseline)
@@ -366,10 +335,8 @@ def compare_reports(
             kind = kind_overrides.get(column) or metric_kind(column)
             entry[column] = {"a": va, "b": vb, "delta": vb - va, "kind": kind}
             limit = tolerances.get(kind) if kind else None
-            # inverted kinds (throughput) regress by shrinking
-            worse = (vb < va) if kind in INVERTED_KINDS else (vb > va)
-            if limit is not None and worse:
-                increase = abs(vb - va) / va if va else float("inf")
+            if limit is not None and vb > va:
+                increase = (vb - va) / va if va else float("inf")
                 if increase > limit:
                     cmp.regressions.append(
                         Regression(
@@ -409,28 +376,12 @@ def format_comparison(cmp: BenchComparison) -> str:
             lines.append(f"  ✗ {reg.describe()}")
     else:
         gates = ", ".join(
-            f"{kind} {'≥ -' if kind in INVERTED_KINDS else '≤ +'}{100 * limit:g}%"
+            f"{kind} ≤ +{100 * limit:g}%"
             for kind, limit in cmp.tolerances.items()
             if limit is not None
         )
         lines.append(f"OK — no regressions ({gates or 'no gates configured'})")
     return "\n".join(lines)
-
-
-def migrate_bench_files(paths: list) -> list[Path]:
-    """Normalize BENCH files on disk in place; returns the rewritten paths.
-
-    Used once to migrate the checked-in artifacts and available for any
-    future schema bump (``repro bench migrate``).
-    """
-    rewritten = []
-    for path in paths:
-        report = load_bench(path)
-        if report.kind == "run":
-            continue
-        report.save(path)
-        rewritten.append(Path(path))
-    return rewritten
 
 
 _BENCH_RE = re.compile(r"^BENCH_.+\.json$")
@@ -590,13 +541,16 @@ def format_trend(
     """Render the history as a sparkline table; returns ``(text, flagged)``.
 
     The delta column compares the latest value against the *median of
-    the previous ``window`` values* — a single noisy recording neither
-    trips nor hides a trend. When ``max_regress`` is given, gated series
-    (those with a recorded kind) whose delta exceeds it are returned in
-    ``flagged`` for the CLI to turn into a nonzero exit.
+    the previous ``window`` (≥ 1) values* — a single noisy recording
+    neither trips nor hides a trend. When ``max_regress`` is given, energy
+    and depth series whose delta exceeds it are returned in ``flagged``
+    for the CLI to turn into a nonzero exit; a host-time kind an older
+    line stored (``wall``, ``latency``, ``throughput``) is never gated.
     """
-    series = history_series(entries, benchmark=benchmark, metric=metric)
+    if window < 1:
+        raise ValidationError(f"trend window must be >= 1, got {window}")
     limit = None if max_regress is None else parse_percent(max_regress)
+    series = history_series(entries, benchmark=benchmark, metric=metric)
     kinds: dict[tuple, str] = {}
     for entry in entries:
         rkey = tuple(sorted((entry.get("row_key") or {}).items()))
@@ -626,11 +580,7 @@ def format_trend(
         }
         table_rows.append(row)
         kind = kinds.get(skey)
-        # throughput regresses downward: flag on the mirrored delta
-        regress = None
-        if delta is not None:
-            regress = -delta if kind in INVERTED_KINDS else delta
-        if limit is not None and kind and regress is not None and regress > limit:
+        if limit is not None and kind in GATED_KINDS and delta is not None and delta > limit:
             flagged.append(
                 {
                     "benchmark": bench,
@@ -639,7 +589,7 @@ def format_trend(
                     "kind": kind,
                     "baseline": base,
                     "latest": latest,
-                    "increase": regress,
+                    "increase": delta,
                 }
             )
     text = format_table(table_rows) if table_rows else "(no history entries matched)"

@@ -450,48 +450,6 @@ def publish_profiler(registry: MetricsRegistry, profiler) -> None:
                 family.observe(distance, int(count))
 
 
-def publish_kernel_profiler(registry: MetricsRegistry, profiler) -> None:
-    """Wall-clock kernel rows from a :class:`KernelWallProfiler`.
-
-    Wall numbers are host-dependent annotations — they live in their own
-    families and never feed the pinned model-cost metrics above.
-    """
-    wall = registry.counter(
-        "repro_kernel_wall_seconds_total",
-        "self wall-clock time per kernel and phase (host-dependent)",
-        ("kernel", "phase"),
-    )
-    calls = registry.counter(
-        "repro_kernel_calls_total", "kernel invocations per kernel and phase",
-        ("kernel", "phase"),
-    )
-    for (kernel, phase), stat in profiler.rows.items():
-        wall.labels(kernel=kernel, phase=phase).inc(stat.ns / 1e9)
-        calls.labels(kernel=kernel, phase=phase).inc(stat.calls)
-    phase_wall = registry.counter(
-        "repro_phase_wall_seconds_total",
-        "wall-clock time per top-level-or-nested phase (host-dependent)",
-        ("phase",),
-    )
-    for phase, ns in profiler.phase_wall.items():
-        phase_wall.labels(phase=phase).inc(ns / 1e9)
-    allocs = registry.counter(
-        "repro_profiler_allocations_total", "tracked buffer allocations", ("site",)
-    )
-    alloc_bytes = registry.counter(
-        "repro_profiler_allocated_bytes_total", "tracked bytes allocated", ("site",)
-    )
-    for site, (count, nbytes) in profiler.allocations.items():
-        allocs.labels(site=site).inc(count)
-        alloc_bytes.labels(site=site).inc(nbytes)
-    coverage = profiler.coverage()
-    if coverage is not None:
-        registry.gauge(
-            "repro_kernel_wall_coverage",
-            "fraction of top-level phase wall time attributed to kernels",
-        ).set(coverage)
-
-
 def publish_critical_path(registry: MetricsRegistry, analyzer) -> None:
     """Depth-clock critical-path attribution from a :class:`CriticalPathAnalyzer`."""
     blame = analyzer.blame(top_k=0)

@@ -17,11 +17,10 @@ Subcommands:
   heatmap JSON, link-congestion timeline, folded stacks, Prometheus text.
 * ``sanitize`` — run a workload under the write-race, determinism, and
   ghost-state sanitizers; nonzero exit on findings (docs/ANALYSIS.md).
-* ``perf``    — run a workload under the wall-clock kernel profiler and
-  the depth-clock critical-path analyzer: kernel × phase wall table,
-  wall-vs-energy efficiency view, critical-path blame table, optional
-  bundle (``perf.json``, Perfetto critical-path trace, Prometheus text).
-  ``perf diff`` compares two saved ``perf.json`` bundles.
+* ``perf``    — run a workload under the depth-clock critical-path
+  analyzer: verified reconstruction, blame table by phase, optional
+  bundle (Perfetto critical-path trace, Prometheus text). Host time is
+  measured outside the program, by ``perfbench/run.py --trace 1``.
 * ``lint``    — model-discipline AST lint (``REPROxxx`` rules) over
   source paths; nonzero exit on findings; ``--format json|sarif`` for CI.
 * ``check``   — whole-program effect & cost-contract checker
@@ -29,10 +28,9 @@ Subcommands:
   shape/binding vs ``bounds.py``, scalar-send hot loops, and the
   ``repro.plan-safety/v1`` phase classification (``--plan-safety``).
 * ``bench``   — benchmark artifact workflows: ``bench compare`` is the
-  perf regression gate (nonzero exit on energy/depth/wall regression),
+  model-cost regression gate (nonzero exit on energy/depth regression),
   ``bench record`` appends artifacts to the ``BENCH_HISTORY.jsonl``
-  trajectory, ``bench trend`` renders it as sparklines,
-  ``bench migrate`` normalizes legacy ``BENCH_*.json`` shapes.
+  trajectory, ``bench trend`` renders it as sparklines.
 * ``serve``   — always-on query service: boot a layout once (warm
   plan-store replay when available), then answer ``POST /lca`` /
   ``/treefix`` / ``/cuts`` from many concurrent clients with cross-user
@@ -66,11 +64,10 @@ Examples::
     python -m repro profile treefix --n 4096 --out prof/
     python -m repro sanitize treefix --n 1024 --policy crew --fuzz
     python -m repro perf treefix -n 4096 --engine batched --out perf/
-    python -m repro perf diff perf_a/perf.json perf_b/perf.json
     python -m repro lint src/
     python -m repro bench compare baseline.json new.json --max-energy-regress 10%
     python -m repro bench record benchmarks/results/BENCH_e6_treefix.json
-    python -m repro bench trend --metric wall_s
+    python -m repro bench trend --metric energy --max-regress 10%
     python -m repro serve --tree random --n 4096 --window-ms 2 --port 8321
     python -m repro report r.json
     python -m repro report --diff before.json after.json
@@ -151,6 +148,14 @@ def _watchdog_stride(text: str) -> int:
     k = int(text)
     if k < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0 (0 disables), got {k}")
+    return k
+
+
+def _trend_window(text: str) -> int:
+    """``bench trend --window`` value: at least one previous recording."""
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {k}")
     return k
 
 
@@ -675,11 +680,11 @@ def cmd_sanitize(args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# wall-clock perf + critical-path attribution
+# critical-path attribution
 # --------------------------------------------------------------------- #
 
 
-def _write_perf_bundle(out_dir, *, perf, machine, profiler, analyzer) -> dict:
+def _write_perf_bundle(out_dir, *, machine, analyzer) -> dict:
     """Write the ``repro perf --out`` artifact bundle; returns name→path."""
     import json
     from pathlib import Path
@@ -687,164 +692,56 @@ def _write_perf_bundle(out_dir, *, perf, machine, profiler, analyzer) -> dict:
     from repro.analysis.metrics import (
         MetricsRegistry,
         publish_critical_path,
-        publish_kernel_profiler,
         publish_machine,
     )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    perf_path = out / "perf.json"
-    perf_path.write_text(json.dumps(perf, indent=2) + "\n")
-    paths["perf.json"] = perf_path
     registry = MetricsRegistry()
     publish_machine(registry, machine)
-    publish_kernel_profiler(registry, profiler)
-    if analyzer is not None:
-        publish_critical_path(registry, analyzer)
-        trace_path = out / "critical_path.trace.json"
-        trace_path.write_text(json.dumps(analyzer.chrome_trace_events()) + "\n")
-        paths["critical_path.trace.json"] = trace_path
+    publish_critical_path(registry, analyzer)
+    trace_path = out / "critical_path.trace.json"
+    trace_path.write_text(json.dumps(analyzer.chrome_trace_events()) + "\n")
     prom_path = out / "metrics.prom"
     prom_path.write_text(registry.render_prometheus())
-    paths["metrics.prom"] = prom_path
-    return paths
+    return {"critical_path.trace.json": trace_path, "metrics.prom": prom_path}
 
 
 def cmd_perf(args) -> int:
     from repro.analysis.critical_path import CriticalPathAnalyzer
-    from repro.machine.wallclock import KernelWallProfiler
 
-    st, run, meta = PROFILE_WORKLOADS[args.workload](args, engine=args.engine)
+    st, run, _ = PROFILE_WORKLOADS[args.workload](args, engine=args.engine)
     machine = st.machine
-    profiler = machine.attach(KernelWallProfiler())
-    analyzer = None
-    if not args.no_critical_path:
-        analyzer = machine.attach(CriticalPathAnalyzer())
+    analyzer = machine.attach(CriticalPathAnalyzer())
     session = _telemetry_session(machine, args, workload=args.workload)
     with session as tel:
         _telemetry_banner(tel)
         run()
     _telemetry_summary(tel)
-    perf = profiler.report(machine)
-    perf["meta"] = {"command": "perf", "engine": machine.engine, **meta}
     snap = machine.snapshot()
-    totals = perf["totals"]
     print(f"perf {args.workload}: n={machine.n} engine={machine.engine} "
           f"curve={machine.curve.name}")
     print(f"energy {snap['energy']:,}   depth {snap['depth']:,}   "
           f"messages {snap['messages']:,}   steps {machine.steps:,}")
-    coverage = totals["coverage"]
-    line = (f"wall: {totals['top_phase_wall_ns'] / 1e6:.2f} ms in top-level "
-            f"phases, {totals['kernel_wall_ns'] / 1e6:.2f} ms attributed to kernels")
-    if coverage is not None:
-        line += f" (coverage {100 * coverage:.1f}%)"
-    print(line)
-    kernel_total = totals["kernel_wall_ns"] or 1
-    krows = [
-        {"kernel": r["kernel"], "phase": r["phase"] or "-",
-         "wall_ms": round(r["wall_ns"] / 1e6, 3), "calls": r["calls"],
-         "share": f"{100 * r['wall_ns'] / kernel_total:.1f}%"}
-        for r in perf["kernels"][: args.top]
+    analyzer.verify(machine)
+    blame = analyzer.blame(top_k=args.top)
+    print(f"\ncritical path: reconstructed depth {blame['depth']:,} == "
+          f"machine depth {machine.depth:,} ✓   ({blame['hops']:,} hops "
+          f"over {blame['rounds_replayed']:,} rounds)")
+    depth_total = blame["depth"] or 1
+    brows = [
+        {"phase": e["phase"] or "(none)", "contribution": e["contribution"],
+         "hops": e["hops"],
+         "share": f"{100 * e['contribution'] / depth_total:.1f}%"}
+        for e in blame["phases"][: args.top]
     ]
-    if krows:
-        print(f"\ntop-{len(krows)} kernels by self wall time:")
-        print(format_table(krows))
-    prows = []
-    for r in perf["phases"]:
-        if r["level"] != 0:
-            continue
-        row = {"phase": r["phase"], "wall_ms": round(r["wall_ns"] / 1e6, 3),
-               "kernel_ms": round(r["kernel_wall_ns"] / 1e6, 3),
-               "coverage": (f"{100 * r['coverage']:.1f}%"
-                            if r["coverage"] is not None else "-"),
-               "energy": r.get("energy", "-"), "depth": r.get("depth", "-")}
-        npe = r.get("ns_per_energy")
-        row["ns/energy"] = round(npe, 2) if npe is not None else "-"
-        prows.append(row)
-    if prows:
-        print("\ntop-level phases (wall vs model cost):")
-        print(format_table(prows))
-    if analyzer is not None:
-        analyzer.verify(machine)
-        blame = analyzer.blame(top_k=args.top)
-        perf["critical_path"] = blame
-        print(f"\ncritical path: reconstructed depth {blame['depth']:,} == "
-              f"machine depth {machine.depth:,} ✓   ({blame['hops']:,} hops "
-              f"over {blame['rounds_replayed']:,} rounds)")
-        depth_total = blame["depth"] or 1
-        brows = [
-            {"phase": e["phase"] or "(none)", "contribution": e["contribution"],
-             "hops": e["hops"],
-             "share": f"{100 * e['contribution'] / depth_total:.1f}%"}
-            for e in blame["phases"][: args.top]
-        ]
-        if brows:
-            print("critical-path blame by phase:")
-            print(format_table(brows))
+    if brows:
+        print("critical-path blame by phase:")
+        print(format_table(brows))
     if args.out:
-        paths = _write_perf_bundle(
-            args.out, perf=perf, machine=machine, profiler=profiler,
-            analyzer=analyzer,
-        )
+        paths = _write_perf_bundle(args.out, machine=machine, analyzer=analyzer)
         for name, path in sorted(paths.items()):
             print(f"[{name} saved to {path}]")
-    if args.history:
-        from repro.analysis.bench import append_history
-        from repro.analysis.report import RunReport
-
-        rows = [{"workload": args.workload, "engine": machine.engine,
-                 "n": machine.n,
-                 "wall_s": round(totals["top_phase_wall_ns"] / 1e9, 6),
-                 "energy": snap["energy"], "depth": snap["depth"],
-                 "messages": snap["messages"]}]
-        report = RunReport.table(
-            "benchmark", rows, meta={"benchmark": f"perf_{args.workload}"}
-        )
-        entries = append_history(args.history, [report])
-        print(f"[appended {len(entries)} history row(s) to {args.history}]")
-    return 0
-
-
-def cmd_perf_diff(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.machine.wallclock import PERF_SCHEMA
-
-    def load(path):
-        data = json.loads(Path(path).read_text())
-        if data.get("schema") != PERF_SCHEMA:
-            raise SystemExit(
-                f"{path} is not a {PERF_SCHEMA} bundle (write one with "
-                f"`repro perf <workload> --out DIR`)"
-            )
-        return data
-
-    a, b = load(args.baseline), load(args.new)
-    ra = {(r["kernel"], r["phase"]): r for r in a.get("kernels", [])}
-    rb = {(r["kernel"], r["phase"]): r for r in b.get("kernels", [])}
-    rows = []
-    for key in sorted(set(ra) | set(rb)):
-        va = ra.get(key, {}).get("wall_ns", 0)
-        vb = rb.get(key, {}).get("wall_ns", 0)
-        delta = vb - va
-        rows.append({"kernel": key[0], "phase": key[1] or "-",
-                     "a_ms": round(va / 1e6, 3), "b_ms": round(vb / 1e6, 3),
-                     "delta_ms": round(delta / 1e6, 3),
-                     "Δ%": f"{100 * delta / va:+.1f}%" if va else "-"})
-    rows.sort(key=lambda r: -abs(r["delta_ms"]))
-    print(f"perf diff (b − a): a={args.baseline}  b={args.new}")
-    print("wall-clock numbers are host-dependent — compare same-host runs only")
-    if rows:
-        print(format_table(rows[: args.top]))
-    else:
-        print("(no kernel rows in either bundle)")
-    ta = a.get("totals", {}).get("kernel_wall_ns", 0)
-    tb = b.get("totals", {}).get("kernel_wall_ns", 0)
-    pct = f" ({100 * (tb - ta) / ta:+.1f}%)" if ta else ""
-    print(f"total kernel wall: {ta / 1e6:.2f} ms → {tb / 1e6:.2f} ms "
-          f"[{(tb - ta) / 1e6:+.2f} ms{pct}]")
     return 0
 
 
@@ -955,7 +852,6 @@ def cmd_bench(args) -> int:
         find_bench_files,
         format_comparison,
         load_bench,
-        migrate_bench_files,
     )
 
     if args.bench_command == "compare":
@@ -965,9 +861,6 @@ def cmd_bench(args) -> int:
             baseline, new,
             max_energy_regress=args.max_energy_regress,
             max_depth_regress=args.max_depth_regress,
-            max_wall_regress=args.max_wall_regress,
-            max_latency_regress=args.max_latency_regress,
-            max_throughput_regress=args.max_throughput_regress,
         )
         print(f"bench compare: baseline={args.baseline}  new={args.new}")
         print(format_comparison(cmp))
@@ -988,14 +881,16 @@ def cmd_bench(args) -> int:
         from repro.analysis.bench import format_trend, load_history
 
         entries = load_history(args.history)
-        if not entries:
-            print(f"(no bench history at {args.history} — record artifacts "
-                  f"with `repro bench record`)")
-            return 0
+        # rendered before the emptiness check, so a bad gate is refused
+        # even when there is no history yet
         text, flagged = format_trend(
             entries, benchmark=args.benchmark, metric=args.metric,
             window=args.window, max_regress=args.max_regress,
         )
+        if not entries:
+            print(f"(no bench history at {args.history} — record artifacts "
+                  f"with `repro bench record`)")
+            return 0
         print(f"bench trend: {args.history} ({len(entries)} entries)")
         print(text)
         if flagged:
@@ -1006,13 +901,6 @@ def cmd_bench(args) -> int:
                       f"median {f['baseline']:g} → {f['latest']:g} "
                       f"(+{100 * f['increase']:.1f}%, {f['kind']})")
             return 1
-        return 0
-    if args.bench_command == "migrate":
-        paths = find_bench_files(args.directory)
-        if not paths:
-            raise SystemExit(f"no BENCH_*.json artifacts under {args.directory}")
-        for path in migrate_bench_files(paths):
-            print(f"[normalized {path}]")
         return 0
     raise SystemExit(f"unknown bench subcommand {args.bench_command!r}")
 
@@ -1330,8 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="wall-clock kernel profiler + depth-clock critical-path "
-             "attribution for a workload; `perf diff` compares bundles",
+        help="depth-clock critical-path attribution for a workload",
     )
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
     for name in sorted(PROFILE_WORKLOADS):
@@ -1349,26 +1236,13 @@ def build_parser() -> argparse.ArgumentParser:
         pw.add_argument("--extra-edges", type=int, default=0,
                         help="cuts non-tree edge count (default 2n)")
         pw.add_argument("--top", type=int, default=10,
-                        help="kernel/blame table size (default 10)")
+                        help="blame table size (default 10)")
         pw.add_argument("--out", metavar="DIR", default=None,
-                        help="write the perf bundle: perf.json, "
+                        help="write the perf bundle: "
                              "critical_path.trace.json (Perfetto), metrics.prom")
-        pw.add_argument("--history", metavar="PATH", default=None,
-                        help="append a wall+model row to this "
-                             "BENCH_HISTORY.jsonl (see `repro bench trend`)")
-        pw.add_argument("--no-critical-path", action="store_true",
-                        help="skip the depth-clock critical-path replay")
         _add_engine_arg(pw)
         _add_telemetry_args(pw)
         pw.set_defaults(fn=cmd_perf, workload=name)
-    pd = perf_sub.add_parser(
-        "diff", help="per-kernel wall deltas between two perf.json bundles"
-    )
-    pd.add_argument("baseline", help="baseline perf.json (from `perf --out`)")
-    pd.add_argument("new", help="new perf.json to compare")
-    pd.add_argument("--top", type=int, default=15,
-                    help="rows to show, sorted by |delta| (default 15)")
-    pd.set_defaults(fn=cmd_perf_diff)
 
     p = sub.add_parser(
         "lint",
@@ -1404,7 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
     pc = bench_sub.add_parser(
         "compare",
-        help="diff two BENCH_/run reports; exit 1 on energy/depth/wall regression",
+        help="diff two BENCH_/run reports; exit 1 on energy/depth regression",
     )
     pc.add_argument("baseline", help="baseline report (BENCH_*.json or run report)")
     pc.add_argument("new", help="new report to gate against the baseline")
@@ -1413,15 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 10%%; e.g. 5%% or 0.05)")
     pc.add_argument("--max-depth-regress", default=None, metavar="PCT",
                     help="optionally gate depth-like metrics the same way")
-    pc.add_argument("--max-wall-regress", default=None, metavar="PCT",
-                    help="optionally gate wall-clock metrics (host-dependent "
-                         "— only meaningful for same-host artifacts)")
-    pc.add_argument("--max-latency-regress", default=None, metavar="PCT",
-                    help="optionally gate latency metrics (p50/p99/ttfa — "
-                         "host-dependent, like wall)")
-    pc.add_argument("--max-throughput-regress", default=None, metavar="PCT",
-                    help="optionally gate throughput metrics (qps/rps — "
-                         "inverted: a DECREASE beyond this fails)")
     pc.set_defaults(fn=cmd_bench)
     pr = bench_sub.add_parser(
         "record",
@@ -1444,18 +1309,14 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--benchmark", default=None,
                     help="only series from this benchmark")
     pt.add_argument("--metric", default=None, help="only this metric column")
-    pt.add_argument("--window", type=int, default=5,
+    pt.add_argument("--window", type=_trend_window, default=5, metavar="K",
                     help="compare latest against the median of the previous "
-                         "K recordings (default 5)")
+                         "K >= 1 recordings (default 5)")
     pt.add_argument("--max-regress", default=None, metavar="PCT",
-                    help="exit 1 if a gated metric's latest value exceeds "
-                         "the median of its previous window by more than this")
+                    help="exit 1 if an energy or depth metric's latest value "
+                         "exceeds the median of its previous window by more "
+                         "than this")
     pt.set_defaults(fn=cmd_bench)
-    pm = bench_sub.add_parser(
-        "migrate", help="normalize BENCH_*.json artifacts in place"
-    )
-    pm.add_argument("directory", nargs="?", default="benchmarks/results")
-    pm.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "plan",

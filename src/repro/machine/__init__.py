@@ -20,7 +20,6 @@ from repro.machine.instrumentation import (
     TracerInstrument,
 )
 from repro.machine.ledger import CostLedger, PhaseCost
-from repro.machine.wallclock import PERF_SCHEMA, KernelWallProfiler
 from repro.machine.profiler import CELL_METRICS, LinkWindow, SpatialProfiler
 from repro.machine.registers import DEFAULT_BUDGET, RegisterFile
 from repro.machine.collectives import (

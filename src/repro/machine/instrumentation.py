@@ -87,12 +87,6 @@ class StepEvent:
         or ``"occ"``, or ``"lift"`` for a barrier charged in closed form
         with no clock kernel. ``None`` for unhinted batches and all
         ``send`` and scalar-engine events.
-    wall_ns:
-        Host wall-clock nanoseconds the engine spent processing this bulk
-        send, or ``None`` when no
-        :class:`~repro.machine.wallclock.KernelWallProfiler` is attached.
-        Host-dependent annotation only — never part of the model costs the
-        differential equivalence suites pin.
     """
 
     step: int
@@ -112,7 +106,6 @@ class StepEvent:
     combiner: str | None = None
     rounds: np.ndarray | None = None
     hint: str | None = None
-    wall_ns: int | None = None
 
     @property
     def max_distance(self) -> int:

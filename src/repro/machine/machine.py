@@ -42,7 +42,6 @@ from repro.machine.instrumentation import (
 )
 from repro.machine.ledger import CostLedger, PhaseCost
 from repro.machine.registers import DEFAULT_BUDGET, RegisterFile
-from repro.machine.wallclock import NULL_SCOPE, KernelWallProfiler
 from repro.utils import as_index_array, check_in_range
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -552,7 +551,6 @@ class SpatialMachine:
         self.instrument_errors: list[tuple[Instrument, str, Exception]] = []
         self._ledger_instrument = LedgerInstrument()
         self._tracer_instrument: TracerInstrument | None = None
-        self._wall_profiler: KernelWallProfiler | None = None
         self._ledger_fast_path = False
         self.attach(self._ledger_instrument)
         self._delivery_rng = (
@@ -586,8 +584,6 @@ class SpatialMachine:
             self._instruments.append(instrument)
             if isinstance(instrument, TracerInstrument):
                 self._tracer_instrument = instrument
-            if isinstance(instrument, KernelWallProfiler):
-                self._wall_profiler = instrument
             self._refresh_fast_path()
             self._call(instrument, "on_attach", self)
         return instrument
@@ -599,22 +595,18 @@ class SpatialMachine:
             self._call(instrument, "on_detach", self)
         if instrument is self._tracer_instrument:
             self._tracer_instrument = None
-        if instrument is self._wall_profiler:
-            self._wall_profiler = None
         self._refresh_fast_path()
         return instrument
 
     def _refresh_fast_path(self) -> None:
         """Recompute whether the batched engine may skip event assembly.
 
-        True when the ledger is the only *event-consuming* instrument: the
-        wall profiler is timed inline (it ignores ``on_step``), so its
-        presence keeps the ledger-only fast path alive — profiling must not
-        change which engine path it is measuring.
+        True exactly when the ledger is the only attached instrument: it
+        reads nothing but a batch's energy and message count.
         """
-        self._ledger_fast_path = self._ledger_instrument in self._instruments and all(
-            i is self._ledger_instrument or i is self._wall_profiler
-            for i in self._instruments
+        instruments = self._instruments
+        self._ledger_fast_path = (
+            len(instruments) == 1 and instruments[0] is self._ledger_instrument
         )
 
     def _call(self, instrument: Instrument, hook: str, *args) -> None:
@@ -679,25 +671,6 @@ class SpatialMachine:
             self.detach(self._tracer_instrument)
         if tracer is not None:
             self.attach(TracerInstrument(tracer))
-
-    @property
-    def wall_profiler(self) -> KernelWallProfiler | None:
-        """The attached :class:`~repro.machine.wallclock.KernelWallProfiler`,
-        or ``None`` (attach one with ``machine.attach(profiler)``)."""
-        return self._wall_profiler
-
-    def profile_kernel(self, name: str):
-        """Scope for spatial kernels to attribute wall time under ``name``.
-
-        Returns a context manager: a real timing scope when a
-        :class:`~repro.machine.wallclock.KernelWallProfiler` is attached, a
-        shared no-op otherwise — so kernels can wrap their hot bodies
-        unconditionally at the cost of one attribute load.
-        """
-        wp = self._wall_profiler
-        if wp is None:
-            return NULL_SCOPE
-        return wp.kernel(name)
 
     # ------------------------------------------------------------------ #
     # geometry
@@ -769,21 +742,13 @@ class SpatialMachine:
             raise MachineStateError("payload length must match endpoint count")
         remote = src != dst
         if remote.any():
-            wp = self._wall_profiler
-            t0 = wp.clock() if wp is not None else 0
             rs, rd = src[remote], dst[remote]
             dist = self.manhattan(rs, rd)
             depth_before = self._max_clock
-            if wp is not None:
-                t1 = wp.clock()
-                wp.rec("send.distances", t1 - t0, messages=len(rs))
             adv = advance_clocks(self.clock, rs, rd)
             # clocks only grow in this method, so the max is maintainable
             # incrementally from the entries just touched (O(k), not O(n))
             self._max_clock = max(self._max_clock, adv.max_clock)
-            if wp is not None:
-                t2 = wp.clock()
-                wp.rec("send.clock_advance", t2 - t1)
             rec = self.plan_recorder
             if rec is not None:
                 rec.on_machine_step(
@@ -817,10 +782,7 @@ class SpatialMachine:
                     metric=self.metric,
                     payload=payload,
                     combiner=combiner,
-                    wall_ns=(wp.clock() - t0) if wp is not None else None,
                 )
-                if wp is not None:
-                    wp.rec("send.event_assembly", wp.clock() - t2)
                 self._emit("on_step", event)
             self._step_index += 1
             if self._delivery_rng is not None and values is not None:
@@ -1019,8 +981,6 @@ class SpatialMachine:
         require ``all_remote=True`` — they describe the unfiltered batch;
         ``lift`` replaces the clock kernels (see :meth:`send_plan`).
         """
-        wp = self._wall_profiler
-        t0 = wp.clock() if wp is not None else 0
         vals: np.ndarray | None = None
         if values is not None:
             vals = np.atleast_1d(np.asarray(values))
@@ -1048,15 +1008,8 @@ class SpatialMachine:
         nonempty = np.diff(roffsets) > 0
         if not nonempty.all():
             roffsets = np.concatenate([roffsets[:1], roffsets[1:][nonempty]])
-        if wp is not None:
-            t1 = wp.clock()
-            wp.rec("batch.remote_filter", t1 - t0, messages=n_remote)
         if dist is None:
             dist = self.manhattan(rs, rd)
-            if wp is not None:
-                t2 = wp.clock()
-                wp.rec("batch.distances", t2 - t1)
-                t1 = t2
         depth_before = self._max_clock
         ar = self._arange(len(rs))
         scratch = self._scratch()
@@ -1070,10 +1023,6 @@ class SpatialMachine:
             self.clock.fill(top)
             adv = BatchClockAdvance(rounds=len(roffsets) - 1, max_clock=top)
         self._max_clock = max(self._max_clock, adv.max_clock)
-        if wp is not None:
-            t2 = wp.clock()
-            wp.rec("batch.clock_advance", t2 - t1)
-            t1 = t2
         rec = self.plan_recorder
         if rec is not None and len(rs):
             rec.on_machine_step(
@@ -1085,13 +1034,7 @@ class SpatialMachine:
         if self._ledger_fast_path:
             # the always-attached ledger only reads energy/messages — skip
             # the (histogram, distinct-count, frozen-view) event assembly
-            energy = int(dist.sum())
-            self._ledger_instrument.ledger.charge(energy, int(len(rs)))
-            if wp is not None:
-                wp.rec(
-                    "batch.ledger_charge", wp.clock() - t1,
-                    messages=len(rs), energy=energy,
-                )
+            self._ledger_instrument.ledger.charge(int(dist.sum()), int(len(rs)))
         elif instruments:
             # freeze *views* — in the all-remote case rs/rd/dist/vals/roffsets
             # can alias caller-owned arrays whose writeability must survive
@@ -1126,13 +1069,7 @@ class SpatialMachine:
                 rounds=ev_off,
                 hint="lift" if lift is not None else "paired" if paired else "exclusive" if exclusive
                 else "occ" if src_occ is not None else None,
-                wall_ns=(wp.clock() - t0) if wp is not None else None,
             )
-            if wp is not None:
-                wp.rec(
-                    "batch.event_assembly", wp.clock() - t1,
-                    messages=len(rs), energy=event.energy,
-                )
             self._emit("on_step", event)
         self._step_index += adv.rounds
         if self._delivery_rng is not None and vals is not None:
@@ -1155,8 +1092,6 @@ class SpatialMachine:
         if scr is None:
             scr = np.empty(self.n, dtype=np.int64)
             self._uniq_scratch = scr
-            if self._wall_profiler is not None:
-                self._wall_profiler.alloc("machine.scratch", scr.nbytes)
         return scr
 
     def _arange(self, k: int) -> np.ndarray:
@@ -1165,8 +1100,6 @@ class SpatialMachine:
         if buf is None or len(buf) < k:
             buf = np.arange(max(k, 1024), dtype=np.int64)
             self._arange_buf = buf
-            if self._wall_profiler is not None:
-                self._wall_profiler.alloc("machine.arange", buf.nbytes)
         return buf[:k]
 
     @staticmethod

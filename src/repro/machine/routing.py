@@ -128,17 +128,8 @@ def sort_network_plan(machine: SpatialMachine, *, descending: bool = False) -> S
     key = ("sort_network", m, descending)
     plan = machine.plan_cache.lookup(key)
     if plan is None:
-        wp = machine.wall_profiler
-        t0 = wp.clock() if wp is not None else 0
         plan = _build_sort_network_plan(machine, m, descending)
         machine.plan_cache[key] = plan
-        if wp is not None:
-            wp.rec("plan_build.sort_network", wp.clock() - t0, messages=plan.messages)
-            wp.alloc(
-                "plan.sort_network",
-                plan.msg_src.nbytes + plan.msg_dst.nbytes
-                + plan.msg_dist.nbytes + plan.msg_rounds.nbytes,
-            )
     return cast(SortNetworkPlan, plan)
 
 

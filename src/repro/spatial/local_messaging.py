@@ -107,8 +107,6 @@ def direct_plan(st) -> tuple[FamilyPlan, FamilyPlan]:
     st.machine.plan_cache.count("batched_direct", hit=cache is not None)
     if cache is not None:
         return cache
-    wp = st.machine.wall_profiler
-    t0 = wp.clock() if wp is not None else 0
     offsets, targets = st.tree.children_csr()
     m = len(targets)
     counts = np.diff(offsets)
@@ -129,9 +127,6 @@ def direct_plan(st) -> tuple[FamilyPlan, FamilyPlan]:
         FamilyPlan(pchi, ppar, pd, None, par, par, chi, offs, 0, findex, True),
     )
     st._direct_plan = plan
-    if wp is not None:
-        wp.rec("plan_build.direct", wp.clock() - t0, messages=m)
-        wp.alloc("plan.direct", sum(a.nbytes for a in (par, chi, ppar, pchi, pd, offs)))
     return plan
 
 
@@ -152,8 +147,6 @@ def virtual_bcast_plan(st) -> FamilyPlan:
     st.machine.plan_cache.count("batched_virtual_bcast", hit=cache is not None)
     if cache is not None:
         return cache
-    wp = st.machine.wall_profiler
-    t0 = wp.clock() if wp is not None else 0
     sched = st.virtual_schedule
     rounds = [e for e in (sched.cur_edges, *sched.app_rounds) if len(e)]
     src, chi, offs = _segments(rounds)
@@ -169,9 +162,6 @@ def virtual_bcast_plan(st) -> FamilyPlan:
     occ[order[1:]] = sorted_pair[1:] == sorted_pair[:-1]
     plan = FamilyPlan(psrc, pchi, pd, occ, fam, fam, chi, offs, 0, _family_index(fam, st.n), True)
     st._virtual_bcast_plan = plan
-    if wp is not None:
-        wp.rec("plan_build.virtual_bcast", wp.clock() - t0, messages=len(chi))
-        wp.alloc("plan.virtual_bcast", sum(a.nbytes for a in (chi, fam, psrc, pchi, pd, occ, offs)))
     return plan
 
 
@@ -186,8 +176,6 @@ def virtual_reduce_plan(st) -> FamilyPlan:
     st.machine.plan_cache.count("batched_virtual_reduce", hit=cache is not None)
     if cache is not None:
         return cache
-    wp = st.machine.wall_profiler
-    t0 = wp.clock() if wp is not None else 0
     sched = st.virtual_schedule
     vt = sched.vt
 
@@ -206,9 +194,6 @@ def virtual_reduce_plan(st) -> FamilyPlan:
     plan = FamilyPlan(pchi, ppar, pd, None, fam, par, chi, offs, n_app,
                       _family_index(fam, st.n), False)
     st._virtual_reduce_plan = plan
-    if wp is not None:
-        wp.rec("plan_build.virtual_reduce", wp.clock() - t0, messages=len(chi))
-        wp.alloc("plan.virtual_reduce", sum(a.nbytes for a in (par, chi, ppar, pchi, pd, offs)))
     return plan
 
 
@@ -361,7 +346,7 @@ def local_broadcast(st, values, *, mode: str | None = None) -> np.ndarray:
     """
     values = _as_values(st, values)
     mode = _resolve_mode(st, mode)
-    with st.machine.phase("local_broadcast"), st.machine.profile_kernel("local_broadcast"):
+    with st.machine.phase("local_broadcast"):
         received = values.copy()
         plan_broadcast(st.machine, family_plans(st, mode)[0], None, values, out=received)
         return received
@@ -377,7 +362,7 @@ def local_reduce(st, values, *, op: Op = np.add, identity=0, mode: str | None = 
     """
     values = _as_values(st, values)
     mode = _resolve_mode(st, mode)
-    with st.machine.phase("local_reduce"), st.machine.profile_kernel("local_reduce"):
+    with st.machine.phase("local_reduce"):
         return plan_reduce(st.machine, family_plans(st, mode)[1], None, values,
                            op=op, identity=identity)
 
@@ -393,11 +378,10 @@ def family_broadcast(st, values, families, *, mode: str | None = None) -> np.nda
     values = _as_values(st, values)
     families = _as_mask(st, families, "families")
     mode = _resolve_mode(st, mode)
-    with st.machine.profile_kernel("family_broadcast"):
-        plan = family_plans(st, mode)[0]
-        received = values.copy()
-        plan_broadcast(st.machine, plan, family_edges(plan, families), values, out=received)
-        return received
+    plan = family_plans(st, mode)[0]
+    received = values.copy()
+    plan_broadcast(st.machine, plan, family_edges(plan, families), values, out=received)
+    return received
 
 
 def family_reduce(
@@ -423,7 +407,6 @@ def family_reduce(
     if contribute is not None:
         msg = np.where(_as_mask(st, contribute, "contribute"), values, identity)
     mode = _resolve_mode(st, mode)
-    with st.machine.profile_kernel("family_reduce"):
-        plan = family_plans(st, mode)[1]
-        return plan_reduce(st.machine, plan, family_edges(plan, families), msg,
-                           op=op, identity=identity, dtype=values.dtype)
+    plan = family_plans(st, mode)[1]
+    return plan_reduce(st.machine, plan, family_edges(plan, families), msg,
+                       op=op, identity=identity, dtype=values.dtype)

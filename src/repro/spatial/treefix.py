@@ -232,8 +232,7 @@ def _schedule(st, s, seed, rng, max_rounds: int, coin_bias: float) -> TreefixSch
         return cached
     if key is not None:
         st._treefix_schedule = None  # one slot: a miss replaces it
-    with st.machine.profile_kernel("treefix.compile"):
-        sched = _compile(st, s, rng, max_rounds, coin_bias, key)
+    sched = _compile(st, s, rng, max_rounds, coin_bias, key)
     if key is not None:
         st._treefix_schedule = sched
     return sched
@@ -619,9 +618,7 @@ def _run(st, values, op, identity, direction, seed, max_rounds, coin_bias, sync_
         s = _registers(stack, st, payload.dtype)
         s.P[:] = payload
         s.A[:] = identity
-        # the scopes' *self* time is the contraction's orchestration glue:
-        # the compile step and the machine sections inside report their own
-        with m.phase(f"treefix_{direction}_contract"), m.profile_kernel("treefix.contract"):
+        with m.phase(f"treefix_{direction}_contract"):
             sched = _schedule(st, s, seed, rng, max_rounds, coin_bias)
             replay = _Replay(st, s, sched, op, identity, direction == "bottom_up")
             for r, rnd in enumerate(sched.contract):
@@ -631,7 +628,7 @@ def _run(st, values, op, identity, direction, seed, max_rounds, coin_bias, sync_
                 if sync_barriers and r:
                     barrier(m)
                 replay.contract_round(rnd)
-        with m.phase(f"treefix_{direction}_expand"), m.profile_kernel("treefix.expand"):
+        with m.phase(f"treefix_{direction}_expand"):
             for rnd in sched.expand:
                 replay.expand_round(rnd)
         st.last_contraction_rounds = sched.rounds

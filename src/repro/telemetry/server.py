@@ -251,11 +251,6 @@ class TelemetryServer:
             tracer = getattr(machine, "tracer", None)
             if tracer is not None:
                 publish_tracer(registry, tracer)
-            wall_profiler = getattr(machine, "wall_profiler", None)
-            if wall_profiler is not None:
-                from repro.analysis.metrics import publish_kernel_profiler
-
-                publish_kernel_profiler(registry, wall_profiler)
         if self.watchdog is not None:
             self.watchdog.publish(registry)
         if self.span_tracer is not None:

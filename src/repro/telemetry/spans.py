@@ -266,12 +266,6 @@ class SpanTracer(Instrument):
             if not self.batch_spans:
                 return
             wall = self._now()
-            # the engine's own wall_ns annotation (set when a wall profiler
-            # is attached) gives batch spans real width on the wall axis
-            # instead of a zero-width instant
-            wall_start = wall
-            if event.wall_ns is not None:
-                wall_start = max(0.0, wall - event.wall_ns / 1e9)
             parent = self._open[-1] if self._open else None
             batch = Span(
                 id=self._next_id,
@@ -281,7 +275,7 @@ class SpanTracer(Instrument):
                 stack=(parent.stack if parent else ()) + (f"step[{event.step}]",),
                 parent=parent.id if parent else None,
                 depth_start=event.depth_before,
-                wall_start=wall_start,
+                wall_start=wall,
                 depth_end=event.depth_after,
                 wall_end=wall,
                 energy=event.energy,
@@ -305,7 +299,7 @@ class SpanTracer(Instrument):
                             stack=batch.stack + (f"round[{r}]",),
                             parent=batch.id,
                             depth_start=event.depth_before,
-                            wall_start=wall_start,
+                            wall_start=wall,
                             depth_end=event.depth_after,
                             wall_end=wall,
                             energy=int(round_energy[r]),

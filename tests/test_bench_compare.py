@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.analysis.bench import (
     find_bench_files,
     load_bench,
     metric_kind,
-    migrate_bench_files,
     normalize_bench,
     parse_ascii_table,
     parse_percent,
@@ -51,6 +51,30 @@ def run_report(energy=1000, depth=50, phases=None):
     )
 
 
+RESULTS = Path(__file__).parent.parent / "benchmarks/results"
+
+#: the baselines CI's bench-regression job gates on energy
+GATED_BASELINES = ("e6_phases", "e13_layout_engine", "e14_plan_replay", "e15_serving")
+
+
+def raise_energy_columns(path, factor):
+    """A BENCH artifact's JSON with every energy-kind column scaled.
+
+    A column is energy-kind by :func:`metric_kind` or by the artifact's
+    own ``metric_kinds`` map, as the gate classifies it.
+    """
+    data = json.loads(Path(path).read_text())
+    kinds = data.get("metric_kinds", {})
+    for row in data["rows"]:
+        for column, value in row.items():
+            if column in data["row_key"] or isinstance(value, bool) \
+                    or not isinstance(value, (int, float)):
+                continue
+            if (kinds.get(column) or metric_kind(column)) == "energy":
+                row[column] = value * factor
+    return data
+
+
 class TestHelpers:
     def test_parse_percent(self):
         assert parse_percent("10%") == pytest.approx(0.10)
@@ -59,6 +83,17 @@ class TestHelpers:
         assert parse_percent(0.2) == pytest.approx(0.2)
         with pytest.raises(ValidationError):
             parse_percent("lots")
+
+    @pytest.mark.parametrize(
+        "text", ["nan", "NaN%", "inf", "-inf%", "-10%", "-0.1", float("nan"), -0.5]
+    )
+    def test_parse_percent_refuses_gate_switches(self, text):
+        # nan switches a gate off, inf passes any growth, and a negative
+        # tolerance fails an unchanged metric
+        with pytest.raises(ValidationError):
+            parse_percent(text)
+        with pytest.raises(ValidationError):
+            compare_reports(bench_report(), bench_report(), max_energy_regress=text)
 
     def test_metric_kind_on_real_column_names(self):
         assert metric_kind("energy") == "energy"
@@ -122,22 +157,6 @@ class TestNormalize:
             assert "row_key" in report.data, path
             cmp = compare_reports(report, report)
             assert cmp.ok and cmp.entries, path
-
-    def test_migrate_in_place(self, tmp_path):
-        legacy = {
-            "schema": "repro.report/v1",
-            "schema_version": 1,
-            "kind": "benchmark",
-            "meta": {},
-            "rows": [],
-            "table": "t\n" + format_table(ROWS),
-        }
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps(legacy))
-        assert migrate_bench_files([path]) == [path]
-        on_disk = json.loads(path.read_text())
-        assert on_disk["rows"] == ROWS
-        assert on_disk["meta"]["benchmark"] == "x"
 
 
 class TestCompareRows:
@@ -316,7 +335,8 @@ class TestCli:
         assert "depth tolerance exceeded" in out
 
     def test_cli_wall_gate_flag(self, tmp_path, capsys):
-        # wall metrics gate only when --max-wall-regress is given
+        # host time is perfbench's to measure: a doubled wall column passes
+        # even a 0% depth gate, and there is no wall gate to ask for
         from repro.cli import main
 
         rows = [{"op": "sort", "n": 256, "wall_s": 1.0}]
@@ -326,90 +346,54 @@ class TestCli:
         worse = copy.deepcopy(rows)
         worse[0]["wall_s"] = 2.0
         bench_report(worse).save(b)
-        assert main(["bench", "compare", str(a), str(b)]) == 0
-        capsys.readouterr()
         assert main(["bench", "compare", str(a), str(b),
-                     "--max-wall-regress", "25%"]) == 1
-        out = capsys.readouterr().out
-        assert "wall tolerance exceeded" in out
+                     "--max-depth-regress", "0%"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "compare", str(a), str(b), "--max-wall-regress", "25%"])
+        assert exc.value.code == 2
 
-    def test_cli_migrate(self, tmp_path, capsys):
+    def test_cli_migrate(self, tmp_path):
         from repro.cli import main
 
-        legacy = {
-            "schema": "repro.report/v1",
-            "schema_version": 1,
-            "kind": "benchmark",
-            "meta": {},
-            "rows": [],
-            "table": "t\n" + format_table(ROWS),
-        }
-        path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps(legacy))
-        assert main(["bench", "migrate", str(tmp_path)]) == 0
-        assert json.loads(path.read_text())["rows"] == ROWS
-
-    def test_cli_migrate_empty_dir_errors(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["bench", "migrate", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", GATED_BASELINES)
+    def test_cli_gated_baseline_trips_and_refuses_nan(self, name, tmp_path, capsys):
+        # the four baselines CI gates: raise every energy-kind column 20%
+        from repro.cli import main
+
+        base = RESULTS / f"BENCH_{name}.json"
+        worse = tmp_path / f"BENCH_{name}.json"
+        worse.write_text(json.dumps(raise_energy_columns(base, 1.2)))
+        assert main(["bench", "compare", str(base), str(worse),
+                     "--max-energy-regress", "10%"]) == 1
+        assert "energy tolerance exceeded" in capsys.readouterr().out
+        for bad in ("nan", "inf", "-10%"):
+            assert main(["bench", "compare", str(base), str(worse),
+                         f"--max-energy-regress={bad}"]) == 2
+        assert "finite and >= 0" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
-# latency / throughput metric kinds (serving benchmarks)
+# serving benchmarks: host-time columns are shown, never gated
 # --------------------------------------------------------------------------- #
 
 
 class TestServingMetricKinds:
     def test_latency_column_names(self):
-        assert metric_kind("p50_ms") == "latency"
-        assert metric_kind("p99_ms") == "latency"
-        assert metric_kind("lca_p99_s") == "latency"
-        assert metric_kind("latency_seconds") == "latency"
-        assert metric_kind("ttfa_ms") == "latency"
+        for column in ("p50_ms", "p99_ms", "lca_p99_s", "latency_seconds", "ttfa_ms"):
+            assert metric_kind(column) is None, column
 
     def test_throughput_column_names(self):
-        assert metric_kind("qps") == "throughput"
-        assert metric_kind("coalesced_qps") == "throughput"
-        assert metric_kind("rps") == "throughput"
-        assert metric_kind("throughput") == "throughput"
+        for column in ("qps", "coalesced_qps", "rps", "throughput"):
+            assert metric_kind(column) is None, column
 
     def test_non_latency_lookalikes_unaffected(self):
-        # a p-digit token must be delimited: "p99" yes, "op99"-style no
         assert metric_kind("speedup") is None  # ratio, informational
         assert metric_kind("energy/n^1.5") == "energy"
-        assert metric_kind("wall_s") == "wall"
-
-    def test_latency_gate_off_by_default_on_by_flag(self):
-        rows = [{"scenario": "load", "n": 256, "p99_ms": 10.0, "qps": 100.0}]
-        worse = copy.deepcopy(rows)
-        worse[0]["p99_ms"] = 30.0
-        assert compare_reports(bench_report(rows), bench_report(worse)).ok
-        cmp = compare_reports(
-            bench_report(rows), bench_report(worse), max_latency_regress="50%"
-        )
-        assert not cmp.ok
-        assert all(r.kind == "latency" for r in cmp.regressions)
-
-    def test_throughput_gate_is_inverted(self):
-        rows = [{"scenario": "load", "n": 256, "qps": 100.0}]
-        # qps DROP is the regression…
-        worse = copy.deepcopy(rows)
-        worse[0]["qps"] = 50.0
-        cmp = compare_reports(
-            bench_report(rows), bench_report(worse), max_throughput_regress="25%"
-        )
-        assert not cmp.ok
-        reg = cmp.regressions[0]
-        assert reg.kind == "throughput"
-        assert "-50" in reg.describe()  # the drop renders with a minus sign
-        # …and a qps INCREASE always passes, however large
-        better = copy.deepcopy(rows)
-        better[0]["qps"] = 10_000.0
-        assert compare_reports(
-            bench_report(rows), bench_report(better), max_throughput_regress="1%"
-        ).ok
+        assert metric_kind("wall_s") is None
 
     def test_cli_latency_and_throughput_flags(self, tmp_path, capsys):
         from repro.cli import main
@@ -421,12 +405,8 @@ class TestServingMetricKinds:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         bench_report(rows).save(a)
         bench_report(worse).save(b)
-        # ungated by default (host-dependent, like wall)
         assert main(["bench", "compare", str(a), str(b)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "compare", str(a), str(b),
-                     "--max-latency-regress", "100%"]) == 1
-        assert "latency" in capsys.readouterr().out
-        assert main(["bench", "compare", str(a), str(b),
-                     "--max-throughput-regress", "50%"]) == 1
-        assert "throughput" in capsys.readouterr().out
+        for flag in ("--max-latency-regress", "--max-throughput-regress"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "compare", str(a), str(b), flag, "50%"])
+            assert exc.value.code == 2

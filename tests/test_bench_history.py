@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.bench import (
     HISTORY_SCHEMA,
     append_history,
-    compare_reports,
     format_trend,
     history_rows,
     history_series,
@@ -39,26 +38,12 @@ def bench_report(rows=None, **meta):
 
 class TestWallMetricKind:
     def test_wall_columns(self):
-        assert metric_kind("wall_s") == "wall"
-        assert metric_kind("scalar_s") == "wall"
-        assert metric_kind("batched_s") == "wall"
-        assert metric_kind("wall_ms") == "wall"
-        assert metric_kind("seconds") == "wall"
-        # ratios stay informational even when wall-flavoured
+        # host times carry no gated kind: perfbench measures them
+        for column in ("wall_s", "scalar_s", "batched_s", "wall_ms", "seconds"):
+            assert metric_kind(column) is None, column
         assert metric_kind("speedup_ratio") is None
         assert metric_kind("energy") == "energy"
         assert metric_kind("op") is None
-
-    def test_wall_gate_opt_in(self):
-        a = bench_report()
-        worse = copy.deepcopy(ROWS)
-        for row in worse:
-            row["wall_s"] *= 2
-        b = bench_report(worse)
-        assert compare_reports(a, b).ok  # off by default: host-dependent
-        cmp = compare_reports(a, b, max_wall_regress="50%")
-        assert not cmp.ok
-        assert all(r.kind == "wall" for r in cmp.regressions)
 
 
 class TestHistoryStore:
@@ -70,9 +55,7 @@ class TestHistoryStore:
         assert first["benchmark"] == "synthetic"
         assert first["row_key"] == {"op": "treefix", "n": 256}
         assert first["metrics"] == {"energy": 1000, "depth": 72, "wall_s": 0.5}
-        assert first["kinds"] == {
-            "energy": "energy", "depth": "depth", "wall_s": "wall",
-        }
+        assert first["kinds"] == {"energy": "energy", "depth": "depth"}
         assert first["recorded_unix"] == 123.0
         assert first["label"] == "abc"
 
@@ -135,33 +118,59 @@ class TestTrend:
 
     def test_trend_median_of_k(self, tmp_path):
         history = tmp_path / "hist.jsonl"
-        rows = [{"op": "x", "n": 16, "wall_s": 1.0}]
+        rows = [{"op": "x", "n": 16, "energy": 100}]
         # 5 stable recordings, one noisy spike, then latest back at baseline:
         # median-of-previous-5 absorbs the spike
-        for i, wall in enumerate([1.0, 1.0, 1.0, 1.0, 1.0, 9.0, 1.02]):
+        for i, energy in enumerate([100, 100, 100, 100, 100, 900, 102]):
             r = copy.deepcopy(rows)
-            r[0]["wall_s"] = wall
+            r[0]["energy"] = energy
             append_history(history, [bench_report(r)], recorded_unix=float(i))
         text, flagged = format_trend(
             load_history(history), window=5, max_regress="10%"
         )
-        assert "wall_s" in text
-        assert flagged == []  # +2% vs median(1,1,1,1,9)=1.0 passes
+        assert "energy" in text
+        assert flagged == []  # +2% vs median(100,100,100,100,900)=100 passes
 
     def test_trend_flags_real_regression(self, tmp_path):
         history = tmp_path / "hist.jsonl"
-        rows = [{"op": "x", "n": 16, "wall_s": 1.0}]
-        for i, wall in enumerate([1.0, 1.0, 1.0, 2.0]):
+        rows = [{"op": "x", "n": 16, "depth": 10}]
+        for i, depth in enumerate([10, 10, 10, 20]):
             r = copy.deepcopy(rows)
-            r[0]["wall_s"] = wall
+            r[0]["depth"] = depth
             append_history(history, [bench_report(r)], recorded_unix=float(i))
         text, flagged = format_trend(
             load_history(history), window=5, max_regress="50%"
         )
         assert len(flagged) == 1
-        assert flagged[0]["metric"] == "wall_s"
-        assert flagged[0]["kind"] == "wall"
+        assert flagged[0]["metric"] == "depth"
+        assert flagged[0]["kind"] == "depth"
         assert flagged[0]["increase"] == pytest.approx(1.0)
+
+    def test_trend_ignores_host_time_kinds_of_old_lines(self, tmp_path):
+        # older history lines stored wall/latency/throughput kinds for host
+        # times; the gate reads only energy and depth, whatever was stored
+        history = tmp_path / "hist.jsonl"
+        metrics = [
+            {"wall_s": 1.0, "p99_ms": 5.0, "qps": 100.0, "energy": 100},
+            {"wall_s": 9.0, "p99_ms": 50.0, "qps": 1.0, "energy": 200},
+        ]
+        kinds = {"wall_s": "wall", "p99_ms": "latency", "qps": "throughput",
+                 "energy": "energy"}
+        with history.open("w") as fh:
+            for i, m in enumerate(metrics):
+                fh.write(json.dumps({
+                    "schema": HISTORY_SCHEMA, "benchmark": "old",
+                    "row_key": {"n": 16}, "metrics": m, "kinds": kinds,
+                    "recorded_unix": float(i),
+                }) + "\n")
+        text, flagged = format_trend(load_history(history), max_regress="10%")
+        assert [f["metric"] for f in flagged] == ["energy"]
+        assert "wall_s" in text and "qps" in text  # still drawn
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_trend_window_below_one_refused(self, window):
+        with pytest.raises(ValidationError):
+            format_trend([], window=window)
 
     def test_trend_without_gate_never_flags(self, tmp_path):
         history = tmp_path / "hist.jsonl"
@@ -209,6 +218,38 @@ class TestCliRecordTrend:
             main(["bench", "record", "--directory", str(tmp_path),
                   "--history", str(tmp_path / "h.jsonl")])
 
+    def test_trend_window_flag(self, tmp_path, capsys):
+        from repro.cli import main
+
+        history = tmp_path / "hist.jsonl"
+        rows = [{"op": "x", "n": 16, "energy": 100}]
+        for i, energy in enumerate([100, 100, 100, 200]):
+            r = copy.deepcopy(rows)
+            r[0]["energy"] = energy
+            append_history(history, [bench_report(r)], recorded_unix=float(i))
+        assert main(["bench", "trend", "--history", str(history),
+                     "--window", "1", "--max-regress", "10%"]) == 1
+        for window in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "trend", "--history", str(history),
+                      "--window", window, "--max-regress", "10%"])
+            assert exc.value.code == 2
+
+    def test_trend_bad_tolerance_exit_code(self, tmp_path, capsys):
+        from repro.cli import main
+
+        history = tmp_path / "hist.jsonl"
+        rows = [{"op": "x", "n": 16, "energy": 100}]
+        for i, energy in enumerate([100, 100, 200]):
+            r = copy.deepcopy(rows)
+            r[0]["energy"] = energy
+            append_history(history, [bench_report(r)], recorded_unix=float(i))
+        # refused whether or not there is history to gate
+        for path in (history, tmp_path / "absent.jsonl"):
+            for bad in ("nan", "inf", "-5%"):
+                assert main(["bench", "trend", "--history", str(path),
+                             f"--max-regress={bad}"]) == 2
+
     def test_trend_gate_exit_code(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -238,26 +279,24 @@ class TestCliPerf:
         from repro.cli import main
 
         out_dir = tmp_path / "bundle"
-        history = tmp_path / "hist.jsonl"
         rc = main(["perf", "treefix", "-n", "256", "--engine", "batched",
-                   "--out", str(out_dir), "--history", str(history)])
+                   "--out", str(out_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "critical path: reconstructed depth" in out
-        assert "coverage" in out
-        perf = json.loads((out_dir / "perf.json").read_text())
-        assert perf["schema"] == "repro.perf/v1"
-        assert perf["kernels"]
-        assert perf["critical_path"]["depth"] == perf["totals"]["depth"]
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "critical_path.trace.json", "metrics.prom",
+        ]
         trace = json.loads((out_dir / "critical_path.trace.json").read_text())
         assert any(e.get("ph") == "X" for e in trace)
         prom = (out_dir / "metrics.prom").read_text()
-        assert "repro_kernel_wall_seconds_total" in prom
         assert "repro_critical_path_depth" in prom
-        entries = load_history(history)
-        assert len(entries) == 1
-        assert entries[0]["kinds"]["wall_s"] == "wall"
-        assert entries[0]["metrics"]["depth"] == perf["totals"]["depth"]
+        for family in ("repro_kernel_", "repro_phase_wall_", "repro_profiler_"):
+            assert family not in prom
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "treefix", "-n", "256",
+                  "--history", str(tmp_path / "hist.jsonl")])
+        assert exc.value.code == 2
 
     def test_perf_scalar_engine(self, capsys):
         from repro.cli import main
@@ -267,32 +306,19 @@ class TestCliPerf:
         out = capsys.readouterr().out
         assert "critical path: reconstructed depth" in out
 
-    def test_perf_no_critical_path(self, capsys):
+    def test_perf_no_critical_path(self):
+        # the critical path is all `repro perf` does; it cannot be skipped
         from repro.cli import main
 
-        assert main(["perf", "treefix", "-n", "128",
-                     "--no-critical-path"]) == 0
-        out = capsys.readouterr().out
-        assert "critical path" not in out
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "treefix", "-n", "128", "--no-critical-path"])
+        assert exc.value.code == 2
 
-    def test_perf_diff(self, tmp_path, capsys):
+    def test_perf_diff(self, tmp_path):
         from repro.cli import main
 
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        for out_dir in (a, b):
-            assert main(["perf", "treefix", "-n", "128",
-                         "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        assert main(["perf", "diff", str(a / "perf.json"),
-                     str(b / "perf.json")]) == 0
-        out = capsys.readouterr().out
-        assert "total kernel wall" in out
-
-    def test_perf_diff_rejects_non_perf_json(self, tmp_path):
-        from repro.cli import main
-
-        bogus = tmp_path / "x.json"
-        bogus.write_text(json.dumps({"schema": "other"}))
-        with pytest.raises(SystemExit):
-            main(["perf", "diff", str(bogus), str(bogus)])
+        bundle = tmp_path / "perf.json"
+        bundle.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "diff", str(bundle), str(bundle)])
+        assert exc.value.code == 2

@@ -202,22 +202,6 @@ class TestSpanTracer:
         assert tracer.progress()["completed_top_level_phases"] == 8
         m.detach(tracer)
 
-    def test_batch_span_wall_width_from_event(self):
-        # with a wall profiler attached the engine annotates events with
-        # wall_ns; batch spans then get real width on the wall axis
-        from repro.machine import KernelWallProfiler
-
-        m = SpatialMachine(64)
-        m.attach(KernelWallProfiler())
-        tracer = m.attach(SpanTracer(workload="w"))
-        rng = np.random.default_rng(0)
-        with m.phase("p"):
-            m.send(rng.integers(0, 64, 32), rng.integers(0, 64, 32))
-        m.detach(tracer)
-        batches = [s for s in tracer.completed if s.kind == "batch"]
-        assert batches
-        assert all(s.wall_end > s.wall_start for s in batches)
-
     def test_batch_span_zero_width_without_profiler(self):
         m = SpatialMachine(64)
         tracer = m.attach(SpanTracer(workload="w"))
