@@ -138,7 +138,9 @@ def _advance_round(
     pre-round clock — two receive slots, serialized by chain order.
 
     ``ar`` must be ``np.arange(len(src))`` (callers pass a slice of a cached
-    buffer). Returns the max clock among the endpoints touched this round.
+    buffer). Returns the max clock among the endpoints touched this round,
+    which is the receivers' max: a sender's final clock is the chain of its
+    last message, and that message's receiver ends at or above it.
     """
     k = len(src)
     scratch[src[::-1]] = ar[::-1]
@@ -147,7 +149,6 @@ def _advance_round(
         # distinct senders: every message is its sender's only send
         chain = clock[src] + 1
         clock[src] = chain
-        fast_send = True
     else:
         # pairwise path: each sender sends at most twice (the degree-≤4
         # virtual tree's relay rounds, two tour elements per processor)
@@ -158,10 +159,8 @@ def _advance_round(
             chain = clock[src] + 1
             chain[lp] += 1
             clock[src] = chain
-            # a sender's final clock equals the chain of its last message,
-            # so chain.max() covers the senders (as in the distinct case)
+            # a repeated sender ends at its second chain, written last
             clock[later] = chain[lp]
-            fast_send = True
         else:
             # reference send recurrence (occurrence index per sender)
             order = np.argsort(src, kind="stable")
@@ -174,7 +173,6 @@ def _advance_round(
             occ_full[order] = occ_sorted
             chain = clock[src] + occ_full + 1
             clock[sorted_src[group_starts]] += group_lens
-            fast_send = False
     scratch[dst[::-1]] = ar[::-1]
     firstpos = scratch[dst]  # first-occurrence position per message
     docc = firstpos != ar
@@ -213,15 +211,16 @@ def _advance_round(
             dst_unique = rd_s[rstarts]
             clock[dst_unique] = np.maximum(clock[dst_unique] + rlens, group_max)
             dst_max = int(clock[dst_unique].max())
-    if fast_send:
-        # receives only raise entries also present in dst (covered by
-        # dst_max); chain covers the senders untouched by receives
-        return max(int(chain.max()), dst_max)
-    return max(int(clock[src].max()), dst_max)
+    return dst_max
 
 
-#: Rounds at or below this size take the pure-Python `_advance_round_small`
-#: path — numpy's per-call overhead (~20 vector ops) dominates tiny rounds.
+#: Unhinted rounds at or below this size take the pure-Python
+#: `_advance_round_small` path, where numpy's per-call overhead (~20 vector
+#: ops in `_advance_round`'s probes) dominates. A round carrying the
+#: ``exclusive`` or ``src_occ`` hint takes that hint's kernel at every size:
+#: with no probes to run it costs a handful of vector ops, about a
+#: microsecond more than the Python loop on a one-message round and less
+#: from two messages on, by more the longer the round.
 _SMALL_ROUND = 16
 
 
@@ -230,7 +229,9 @@ def _advance_round_small(clock: np.ndarray, src: np.ndarray, dst: np.ndarray) ->
 
     Bit-identical to the vectorized path (same integer recurrences per
     sender-occurrence and per sorted receive group) but runs in plain
-    Python, which is faster below roughly 20 messages.
+    Python, which beats the probing general kernel on unhinted rounds of
+    up to ``_SMALL_ROUND`` messages. Hinted rounds never come here: their
+    kernels are faster from two messages on.
     """
     occ_count: dict[int, int] = {}
     chain: list[int] = []
@@ -261,13 +262,18 @@ def _advance_round_exclusive(
 ) -> int:
     """:func:`_advance_round` when senders and receivers are each pairwise
     distinct — the statically-known EREW shape of cached plan rounds and
-    the treefix frontier hops. Same recurrences, no distinctness probing.
+    the treefix frontier hops. Same recurrences, no distinctness probing,
+    updated in place; the receivers' max is the round's (every receiver
+    ends at or above its message's chain, the sender's final clock).
     """
-    chain = clock[src] + 1
+    chain = clock[src]
+    chain += 1
     clock[src] = chain
-    upd = np.maximum(clock[dst] + 1, chain)
+    upd = clock[dst]
+    upd += 1
+    np.maximum(upd, chain, out=upd)
     clock[dst] = upd
-    return max(int(chain.max()), int(upd.max()))
+    return int(upd.max())
 
 
 def _advance_rounds_paired(clock: np.ndarray, src: np.ndarray, dst: np.ndarray) -> int:
@@ -294,16 +300,22 @@ def _advance_round_occ(
     """:func:`_advance_round` when receivers are pairwise distinct and the
     senders' occurrence indices (0/1, multiplicity at most two) are known
     statically — the virtual broadcast plan's relay rounds, where a sender
-    forwards to at most its two appended children. Same recurrences.
+    forwards to at most its two appended children. Same recurrences,
+    updated in place; returns the receivers' max, as
+    :func:`_advance_round_exclusive` does.
     """
-    chain = clock[src] + occ + 1
-    first = occ == 0
-    clock[src[first]] += 1  # collision-free: first occurrences are distinct
-    clock[src[~first]] += 1
-    upd = np.maximum(clock[dst] + 1, chain)
+    chain = clock[src]
+    chain += occ
+    chain += 1
+    clock[src] = chain
+    # a repeated sender ends at its second chain, written last
+    second = np.flatnonzero(occ)
+    clock[src[second]] = chain[second]
+    upd = clock[dst]
+    upd += 1
+    np.maximum(upd, chain, out=upd)
     clock[dst] = upd
-    # a sender's final clock equals the chain of its last message
-    return max(int(chain.max()), int(upd.max()))
+    return int(upd.max())
 
 
 def advance_clocks_batch(
@@ -324,8 +336,9 @@ def advance_clocks_batch(
     messages ``offsets[r]:offsets[r+1]`` form round ``r``, and round
     ``r+1``'s chains are computed against the clock state left by round
     ``r`` — exactly as if each round were its own :meth:`SpatialMachine.send`
-    call. ``scratch`` is an n-sized int64 work array; ``ar`` must cover
-    ``np.arange`` of the largest round (see :func:`_advance_round`).
+    call. Empty rounds are skipped and not counted. ``scratch`` is an
+    n-sized int64 work array; ``ar`` must cover ``np.arange`` of the
+    largest round (see :func:`_advance_round`).
     ``exclusive`` asserts every round is EREW (distinct senders, distinct
     receivers); ``src_occ`` instead asserts distinct receivers plus known
     sender occurrence indices (multiplicity ≤ 2); ``paired`` asserts the
@@ -333,12 +346,18 @@ def advance_clocks_batch(
     with src/dst exchanged, over the same index sets — letting consecutive
     round pairs fuse into one :func:`_advance_rounds_paired` update. All
     three are caller-trusted static properties of cached message plans.
+
+    Each round takes one kernel: a hinted round its hint's kernel
+    (:func:`_advance_round_exclusive` or :func:`_advance_round_occ`) at
+    every size; an unhinted round :func:`_advance_round_small` up to
+    ``_SMALL_ROUND`` messages and :func:`_advance_round` above.
     """
     max_clock = 0
     rounds = 0
+    bounds = offsets.tolist()
     if paired:
-        for i in range(0, len(offsets) - 1, 2):
-            a, b = int(offsets[i]), int(offsets[i + 1])
+        for i in range(0, len(bounds) - 1, 2):
+            a, b = bounds[i], bounds[i + 1]
             if b <= a:
                 continue
             rounds += 2
@@ -346,17 +365,16 @@ def advance_clocks_batch(
             if m > max_clock:
                 max_clock = m
         return BatchClockAdvance(rounds=rounds, max_clock=max_clock)
-    for i in range(len(offsets) - 1):
-        a, b = int(offsets[i]), int(offsets[i + 1])
+    for a, b in zip(bounds, bounds[1:]):
         if b <= a:
             continue
         rounds += 1
-        if b - a <= _SMALL_ROUND:
-            m = _advance_round_small(clock, src[a:b], dst[a:b])
-        elif exclusive:
+        if exclusive:
             m = _advance_round_exclusive(clock, src[a:b], dst[a:b])
         elif src_occ is not None:
             m = _advance_round_occ(clock, src[a:b], dst[a:b], src_occ[a:b])
+        elif b - a <= _SMALL_ROUND:
+            m = _advance_round_small(clock, src[a:b], dst[a:b])
         else:
             m = _advance_round(clock, src[a:b], dst[a:b], scratch, ar[: b - a])
         if m > max_clock:
@@ -1005,9 +1023,6 @@ class SpatialMachine:
                 roffsets = np.searchsorted(idx, offsets)
                 if dist is not None:
                     dist = dist[idx]
-        nonempty = np.diff(roffsets) > 0
-        if not nonempty.all():
-            roffsets = np.concatenate([roffsets[:1], roffsets[1:][nonempty]])
         if dist is None:
             dist = self.manhattan(rs, rd)
         depth_before = self._max_clock
@@ -1021,21 +1036,30 @@ class SpatialMachine:
         else:
             top = int(np.add(self.clock, lift, out=scratch).max())
             self.clock.fill(top)
-            adv = BatchClockAdvance(rounds=len(roffsets) - 1, max_clock=top)
+            adv = BatchClockAdvance(
+                rounds=int(np.count_nonzero(np.diff(roffsets))), max_clock=top
+            )
         self._max_clock = max(self._max_clock, adv.max_clock)
         rec = self.plan_recorder
+        instruments = self._instruments
+        observed = bool(instruments) and not self._ledger_fast_path
+        if rec is not None or observed:
+            # the kernels skip empty rounds; an event or a recorded step
+            # lists only the rounds that charged something
+            nonempty = np.diff(roffsets) > 0
+            if not nonempty.all():
+                roffsets = np.concatenate([roffsets[:1], roffsets[1:][nonempty]])
         if rec is not None and len(rs):
             rec.on_machine_step(
                 rs, rd, roffsets, dist,
                 exclusive=exclusive, src_occ=src_occ, paired=paired,
                 combiner=combiner, plan_ref=plan_ref,
             )
-        instruments = self._instruments
         if self._ledger_fast_path:
             # the always-attached ledger only reads energy/messages — skip
             # the (histogram, distinct-count, frozen-view) event assembly
             self._ledger_instrument.ledger.charge(int(dist.sum()), int(len(rs)))
-        elif instruments:
+        elif observed:
             # freeze *views* — in the all-remote case rs/rd/dist/vals/roffsets
             # can alias caller-owned arrays whose writeability must survive
             ev_src, ev_dst, ev_off = rs.view(), rd.view(), roffsets.view()

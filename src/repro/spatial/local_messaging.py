@@ -204,6 +204,18 @@ def family_plans(st, mode: str) -> tuple[FamilyPlan, FamilyPlan]:
     return virtual_bcast_plan(st), virtual_reduce_plan(st)
 
 
+def broadcast_plan(st, mode: str) -> FamilyPlan:
+    """The broadcast plan of the tree in ``mode``; a virtual tree's reduce
+    plan is not built."""
+    return direct_plan(st)[0] if mode == "direct" else virtual_bcast_plan(st)
+
+
+def reduce_plan(st, mode: str) -> FamilyPlan:
+    """The reduce plan of the tree in ``mode``; a virtual tree's broadcast
+    plan is not built."""
+    return direct_plan(st)[1] if mode == "direct" else virtual_reduce_plan(st)
+
+
 def family_edges(plan: FamilyPlan, families: np.ndarray) -> np.ndarray | None:
     """Positions of the active families' plan edges, ascending, without
     sending them — ``None`` when every plan edge is active.
@@ -266,13 +278,13 @@ def plan_broadcast(machine, plan: FamilyPlan, sel: np.ndarray | None, *values: n
 
 
 def plan_reduce(machine, plan: FamilyPlan, sel: np.ndarray | None, msg: np.ndarray,
-                *more: Callable[[np.ndarray], np.ndarray], op: Op | None = None, identity=0,
-                dtype=None) -> np.ndarray | None:
+                more: Callable[[np.ndarray], tuple] | None = None, *, op: Op | None = None,
+                identity=0, dtype=None) -> np.ndarray | None:
     """Charge the family reduce of ``msg`` (per-vertex messages) over
     ``sel``, a :func:`family_edges` selection of ``plan`` (``None``: every
-    edge), then one more reduce over the same edges per entry of ``more``:
-    each maps the selected edges' children to their messages (called only
-    when the plan's reduce sends carry payloads).
+    edge), then, with ``more``, one more reduce over the same edges per
+    payload it maps the selected edges' children to (each sent only when
+    the plan's reduce sends carry payloads).
 
     With ``op``, fold ``msg`` in the plan's sibling order and return the
     result at each family parent, ``identity`` elsewhere, in ``dtype``
@@ -286,9 +298,9 @@ def plan_reduce(machine, plan: FamilyPlan, sel: np.ndarray | None, msg: np.ndarr
     src, dst, dist = plan.src[idx], plan.dst[idx], plan.dist[idx]
     sent = msg[chi] if plan.carry else None
     machine.send_plan(src, dst, sent, rounds=offs, dist=dist, exclusive=True)
-    for messages_of in more:
-        payload = messages_of(chi) if plan.carry else None
-        machine.send_plan(src, dst, payload, rounds=offs, dist=dist, exclusive=True)
+    for payload in () if more is None else more(chi):
+        machine.send_plan(src, dst, payload if plan.carry else None, rounds=offs, dist=dist,
+                          exclusive=True)
     if op is None:
         return None
     # relay segments fold into per-vertex interval accumulators first
@@ -348,7 +360,7 @@ def local_broadcast(st, values, *, mode: str | None = None) -> np.ndarray:
     mode = _resolve_mode(st, mode)
     with st.machine.phase("local_broadcast"):
         received = values.copy()
-        plan_broadcast(st.machine, family_plans(st, mode)[0], None, values, out=received)
+        plan_broadcast(st.machine, broadcast_plan(st, mode), None, values, out=received)
         return received
 
 
@@ -363,7 +375,7 @@ def local_reduce(st, values, *, op: Op = np.add, identity=0, mode: str | None = 
     values = _as_values(st, values)
     mode = _resolve_mode(st, mode)
     with st.machine.phase("local_reduce"):
-        return plan_reduce(st.machine, family_plans(st, mode)[1], None, values,
+        return plan_reduce(st.machine, reduce_plan(st, mode), None, values,
                            op=op, identity=identity)
 
 
@@ -378,7 +390,7 @@ def family_broadcast(st, values, families, *, mode: str | None = None) -> np.nda
     values = _as_values(st, values)
     families = _as_mask(st, families, "families")
     mode = _resolve_mode(st, mode)
-    plan = family_plans(st, mode)[0]
+    plan = broadcast_plan(st, mode)
     received = values.copy()
     plan_broadcast(st.machine, plan, family_edges(plan, families), values, out=received)
     return received
@@ -407,6 +419,6 @@ def family_reduce(
     if contribute is not None:
         msg = np.where(_as_mask(st, contribute, "contribute"), values, identity)
     mode = _resolve_mode(st, mode)
-    plan = family_plans(st, mode)[1]
+    plan = reduce_plan(st, mode)
     return plan_reduce(st.machine, plan, family_edges(plan, families), msg,
                        op=op, identity=identity, dtype=values.dtype)

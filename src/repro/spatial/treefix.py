@@ -45,8 +45,9 @@ Structure of the implementation, mirroring the paper:
   So every call runs in two steps: :func:`_compile` plays the decisions on
   the structural registers, charging nothing, and records per round the
   family selections (edge positions in the cached per-tree plans of
-  :mod:`repro.spatial.local_messaging`), the frontier hops and the vertex
-  sets the payload folds need; the replay walks that
+  :mod:`repro.spatial.local_messaging`), the frontier exchanges (processor
+  endpoints and distances) and the vertex sets the payload folds need;
+  the replay walks that
   :class:`TreefixSchedule`, issues every charge (the family exchanges
   through the local-messaging kernels) and folds the call's own values.
   The schedule is memoized in one slot on the
@@ -99,15 +100,28 @@ _REGISTERS = (
 _VALUE_REGISTERS = ("tfx_P", "tfx_A", "tfx_ev_P_before")
 
 
+class _Exchange(NamedTuple):
+    """A compiled frontier exchange, EREW in every round: processor
+    endpoints and their distances in the narrowest dtypes that hold them
+    (see :func:`_narrow`), and the int64 round offsets."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    dist: np.ndarray
+    rounds: np.ndarray
+
+
 class _ContractRound(NamedTuple):
     """One COMPACT round's recorded decisions; ``None``: the step sent nothing.
 
     ``announce`` — (hop, selection, family heads, branching/coin codes);
-    ``compress`` — (absorbed, absorbers, absorbed's single children);
+    ``compress`` — (exchange absorbed → absorbers, then → the absorbed's
+    single children; absorbed; absorbers);
     ``rake`` — (hop, selection, leaf children, non-leaf children — the
     latter only where reduce messages carry payloads);
-    ``fire`` — (hop, selection, rakers, their family heads, designated
-    children). A hop is (representatives, family heads) where they differ.
+    ``fire`` — (hop, selection, exchange rakers → designated children,
+    rakers, their family heads, designated children). A hop is the
+    :class:`_Exchange` representatives → family heads where they differ.
     """
 
     announce: tuple | None
@@ -119,7 +133,8 @@ class _ContractRound(NamedTuple):
 class _ExpandRound(NamedTuple):
     """One undo round; ``None``: no event of that kind was undone.
 
-    ``compress`` — (undoers, woken absorbed, relinked, their children);
+    ``compress`` — (exchange undoers → woken absorbed and back, exchange
+    relinked → their children or ``None``, undoers, woken absorbed);
     ``rake`` — (hop, broadcast selection, reduce selection, undoers,
     designated children, family heads, waking leaves).
     """
@@ -142,10 +157,11 @@ class TreefixSchedule:
 
     Holds what the payload never influences: per COMPACT round the family
     selections (ascending edge positions in the cached per-tree plans,
-    ``None`` for the whole plan), the frontier hops and the vertex sets
-    the folds need, then the undo rounds. Vertex ids are int32 and no
+    ``None`` for the whole plan), the frontier exchanges and the vertex
+    sets the folds need, then the undo rounds. Vertex ids are int32 and no
     array has one entry per vertex. Both treefix directions replay the
-    same schedule.
+    same schedule. Like the family plans, the exchanges' distances belong
+    to the tree's placement and its machine's metric.
     """
 
     key: tuple | None
@@ -182,23 +198,37 @@ def _family_mask(n: int, heads: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _narrow(a: np.ndarray, m: int) -> np.ndarray:
+    """``a``, whose entries lie in ``[0, m)``, in the narrowest dtype that
+    holds them."""
+    return a.astype(np.uint16 if m <= 1 << 16 else np.int32)
+
+
 def _pack(idx: np.ndarray | None, m: int) -> np.ndarray | None:
-    """A selection's stored form: its ascending edge positions in the
-    narrowest dtype that holds the plan's ``m`` edges (``None``: every
-    edge)."""
-    if idx is None:
-        return None
-    return idx.astype(np.uint16 if m <= 1 << 16 else np.int32)
+    """A selection's stored form: its ascending edge positions among the
+    plan's ``m`` edges (``None``: every edge)."""
+    return None if idx is None else _narrow(idx, m)
 
 
 def _ids(a: np.ndarray) -> np.ndarray:
     return a.astype(np.int32)
 
 
-def _hop(reps: np.ndarray, last: np.ndarray) -> tuple | None:
-    """The representative → family-head hop where they differ."""
+def _exchange(st, src: np.ndarray, dst: np.ndarray, rounds: list[int] | None = None) -> _Exchange:
+    """Compile the exchange of vertices ``src`` → ``dst`` (one round unless
+    ``rounds`` gives the offsets)."""
+    m = st.machine
+    psrc, pdst = st.proc[src], st.proc[dst]
+    # a grid distance is at most 2 (side - 1)
+    dist = _narrow(m.manhattan(psrc, pdst), 2 * m.side - 1)
+    offs = np.array([0, len(psrc)] if rounds is None else rounds, dtype=np.int64)
+    return _Exchange(_narrow(psrc, m.n), _narrow(pdst, m.n), dist, offs)
+
+
+def _hop(st, reps: np.ndarray, last: np.ndarray) -> _Exchange | None:
+    """The representative → family-head exchange where they differ."""
     far = reps[last[reps] != reps]
-    return (_ids(far), _ids(last[far])) if len(far) else None
+    return _exchange(st, far, last[far]) if len(far) else None
 
 
 def _registers(stack: contextlib.ExitStack, st, value_dtype) -> SimpleNamespace:
@@ -255,7 +285,8 @@ def _fire(st, s, rakers, rh, cnt, leaf_ids, nonleaf_ids, select) -> tuple[tuple,
     several = np.bincount(nonleaf_par, minlength=n)[rh] >= 2
     w = np.where(several, _NONE, witness[rh])
     fam = _family_mask(n, rh)
-    fire = (_hop(rakers, s.last), select(0, fam), _ids(rakers), _ids(rh), _ids(designated))
+    fire = (_hop(st, rakers, s.last), select(0, fam), _exchange(st, rakers, designated),
+            _ids(rakers), _ids(rh), _ids(designated))
     raker_mask = np.zeros(n, dtype=bool)
     raker_mask[rakers] = True
     raked = leaf_ids[raker_mask[s.par[leaf_ids]]]
@@ -333,7 +364,7 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
             heads = s.last[parents_u]
             codes = (s.nchild[parents_u] >= 2) * 2 + coins[parents_u]
             fam = _family_mask(n, heads)
-            announce = (_hop(parents_u, s.last), select(0, fam), _ids(heads),
+            announce = (_hop(st, parents_u, s.last), select(0, fam), _ids(heads),
                         codes.astype(np.int8))
             info = np.full(n, _NONE, dtype=np.int64)
             info[heads] = codes
@@ -349,7 +380,10 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
         if len(sel):
             u = s.par[sel]
             child = s.only_child[sel]
-            compress = (_ids(sel), _ids(u), _ids(child))
+            k = len(sel)
+            compress = (_exchange(st, np.concatenate([sel, sel]), np.concatenate([u, child]),
+                                  [0, k, 2 * k]),
+                        _ids(sel), _ids(u))
             s.ev_type[sel] = _EV_COMPRESS
             s.ev_saved[sel] = s.log_head[u]
             s.ev_last[sel] = s.last[u]
@@ -376,7 +410,7 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
             cap_leaf = s.nchild[cap] == 0
             leaf_ids = cap[cap_leaf]
             nonleaf_ids = cap[~cap_leaf]
-            rake = (_hop(parents_u, s.last), rsel, _ids(leaf_ids),
+            rake = (_hop(st, parents_u, s.last), rsel, _ids(leaf_ids),
                     _ids(nonleaf_ids) if plans[1].carry else None)
             leaf_par = parents[leaf_ids]
             cnt = np.bincount(leaf_par, minlength=n)[heads]
@@ -412,7 +446,12 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
             has_child = child != _NONE
             s.par[child[has_child]] = v[has_child]
             s.ev_type[v] = 0
-            undo_compress = (_ids(cu), _ids(v), _ids(v[has_child]), _ids(child[has_child]))
+            k = len(cu)
+            undo_compress = (
+                _exchange(st, np.concatenate([cu, v]), np.concatenate([v, cu]), [0, k, 2 * k]),
+                _exchange(st, v[has_child], child[has_child]) if has_child.any() else None,
+                _ids(cu), _ids(v),
+            )
             woken.append(v)
         ru = undoers[kinds == _EV_RAKE]
         if len(ru):
@@ -427,7 +466,7 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
             rp = parents[raked]
             got = np.where(fam[rp], note[rp], note[raked])
             waking = raked[got == s.wake_ev[raked]]
-            undo_rake = (_hop(ru, s.last), bsel, rsel, _ids(ru), _ids(v1), _ids(heads),
+            undo_rake = (_hop(st, ru, s.last), bsel, rsel, _ids(ru), _ids(v1), _ids(heads),
                          _ids(waking))
             s.nchild[ru] = s.ev_nchild[v1]
             s.only_child[ru] = np.where(s.ev_nchild[v1] == 1, v1, _NONE)
@@ -450,6 +489,23 @@ def _compile(st, s, rng, max_rounds: int, coin_bias: float, key) -> TreefixSched
 # --------------------------------------------------------------------- #
 
 
+def _structural(kind: np.ndarray | None) -> Callable[[np.ndarray], tuple]:
+    """The rake round's leaf-count, non-leaf-witness and smallest-leaf
+    reduces: the messages of children ``c``, from one ``kind[c]`` gather
+    (all ``None`` where reduce sends carry no payload). A closure over
+    ``kind``, not a method: a replay holding its own bound method would
+    live until the cyclic collector ran, and its per-vertex buffers too."""
+
+    def payloads(c: np.ndarray) -> tuple:
+        if kind is None:
+            return None, None, None
+        k = kind[c]
+        leaf = k == 1
+        return leaf.astype(np.int64), np.where(k == 2, c, _NONE), np.where(leaf, c, _BIG)
+
+    return payloads
+
+
 class _Replay:
     """One call's replay of a :class:`TreefixSchedule`: every charge of the
     live contraction, in its order, and the folds of this call's values.
@@ -463,7 +519,6 @@ class _Replay:
     def __init__(self, st, s, sched: TreefixSchedule, op: Op, identity, bottom_up: bool) -> None:
         n = st.n
         self.m = st.machine
-        self.proc = st.proc
         self.parents = st.tree.parents
         self.P, self.A, self.P_before = s.P, s.A, s.ev_P_before
         self.bcast, self.reduce_plan = family_plans(st, st.mode) if sched.rounds else (None, None)
@@ -478,71 +533,58 @@ class _Replay:
         #: the payloads of direct-mode structural reduces are derived from
         carry = self.reduce_plan is not None and self.reduce_plan.carry
         kind = self.child_kind = np.zeros(n, dtype=np.int8) if carry else None
-        #: the rake round's leaf-count, non-leaf-witness and smallest-leaf
-        #: reduces: each child's message, from its kind
-        self.structural = (
-            lambda c: (kind[c] == 1).astype(np.int64),
-            lambda c: np.where(kind[c] == 2, c, _NONE),
-            lambda c: np.where(kind[c] == 1, c, _BIG),
-        )
+        self.structural = _structural(kind)
 
-    def exchange(self, src: np.ndarray, dst: np.ndarray, rounds: np.ndarray | None = None) -> None:
-        """Charge a frontier exchange between vertices (EREW by construction)."""
-        if rounds is None:
-            rounds = np.array([0, len(src)], dtype=np.int64)
-        self.m.send_plan(self.proc[src], self.proc[dst], rounds=rounds, exclusive=True)
-
-    def hop(self, hop: tuple | None, *, back: bool = False) -> None:
-        if hop is not None:
-            reps, heads = hop
-            if back:
-                self.exchange(heads, reps)
-            else:
-                self.exchange(reps, heads)
+    def exchange(self, ex: _Exchange | None, *, back: bool = False) -> None:
+        """Charge a compiled frontier exchange (EREW by construction), or
+        its reverse."""
+        if ex is None:
+            return
+        src, dst = (ex.dst, ex.src) if back else (ex.src, ex.dst)
+        self.m.send_plan(src.astype(np.int64), dst.astype(np.int64), rounds=ex.rounds,
+                         dist=ex.dist.astype(np.int64), exclusive=True)
 
     def contract_round(self, rnd: _ContractRound) -> None:
         """Charge one COMPACT round; fold ``P`` and the pre-event partials."""
         P, P_before, op = self.P, self.P_before, self.op
         if rnd.announce is not None:
             hop, sel, heads, codes = rnd.announce
-            self.hop(hop)
+            self.exchange(hop)
             self.words[heads] = codes
             plan_broadcast(self.m, self.bcast, sel, self.words)
         if rnd.compress is not None:
             # v hands its state to its parent (one O(1)-word exchange) and
             # tells its single child about its new parent — two dependency
             # rounds, batched into one charged call
-            v, u, child = rnd.compress
-            k = len(v)
-            self.exchange(np.concatenate([v, v]), np.concatenate([u, child]),
-                          np.array([0, k, 2 * k]))
+            ex, v, u = rnd.compress
+            self.exchange(ex)
             P_before[v] = P[u]
             P[u] = op(P[u], P[v])
         if rnd.rake is None:
             return
         hop, sel, leaves, nonleaves = rnd.rake
-        self.hop(hop)
+        self.exchange(hop)
         msg, kind = self.leaf_msg, self.child_kind
         msg[leaves] = P[leaves]
         if kind is not None:
             kind[leaves] = 1
             kind[nonleaves] = 2
         fold = op if self.bottom_up and rnd.fire is not None else None
-        leaf_P = plan_reduce(self.m, self.reduce_plan, sel, msg, *self.structural,
+        leaf_P = plan_reduce(self.m, self.reduce_plan, sel, msg, self.structural,
                              op=fold, identity=self.identity)
         msg[leaves] = self.identity
         if kind is not None:
             kind[leaves] = 0
             kind[nonleaves] = 0
-        self.hop(hop, back=True)
+        self.exchange(hop, back=True)
         if rnd.fire is None:
             return
         # tell the family which event fired (payload: designated child id)
-        hop, sel, rakers, heads, designated = rnd.fire
-        self.hop(hop)
+        hop, sel, ex, rakers, heads, designated = rnd.fire
+        self.exchange(hop)
         self.words[heads] = designated
         plan_broadcast(self.m, self.bcast, sel, self.words)
-        self.exchange(rakers, designated)
+        self.exchange(ex)
         P_before[designated] = P[rakers]
         # bottom-up folds raked totals into P; top-down's P is a pure
         # member-path value and is left alone
@@ -554,24 +596,21 @@ class _Replay:
         the §V-B invariants."""
         P, A, P_before, op = self.P, self.A, self.P_before, self.op
         if rnd.compress is not None:
-            cu, v, relinked, children = rnd.compress
-            k = len(cu)
+            ex, relink, cu, v = rnd.compress
             # A / restore exchange: two dependency rounds in one batch
-            self.exchange(np.concatenate([cu, v]), np.concatenate([v, cu]),
-                          np.array([0, k, 2 * k]))
+            self.exchange(ex)
             if self.bottom_up:
                 A[v] = A[cu]
                 A[cu] = op(A[cu], P[v])
             else:
                 A[v] = op(A[cu], P_before[v])
             P[cu] = P_before[v]
-            if len(relinked):
-                self.exchange(relinked, children)
+            self.exchange(relink)
         if rnd.rake is None:
             return
         hop, bsel, rsel, ru, v1, heads, waking = rnd.rake
         # broadcast the wake note (and, top-down, the path value)
-        self.hop(hop)
+        self.exchange(hop)
         self.words[heads] = v1
         if self.bottom_up:
             plan_broadcast(self.m, self.bcast, bsel, self.words)
@@ -587,7 +626,7 @@ class _Replay:
         raked_P = plan_reduce(self.m, self.reduce_plan, rsel, msg,
                               op=op if self.bottom_up else None, identity=self.identity)
         msg[waking] = self.identity
-        self.hop(hop, back=True)
+        self.exchange(hop, back=True)
         if self.bottom_up:
             A[ru] = op(A[ru], raked_P[heads])
         P[ru] = P_before[v1]

@@ -76,6 +76,28 @@ class TestCaching:
             assert pc.hits == {"batched_direct": 1}, engine
             assert family_plans(st_, "direct") is st_._direct_plan
 
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_virtual_kernels_build_only_their_plan(self, engine):
+        from repro.spatial.local_messaging import (
+            family_broadcast,
+            family_reduce,
+            local_broadcast,
+            local_reduce,
+        )
+
+        st_ = SpatialTree.build(star_tree(64), mode="virtual", engine=engine)
+        vals = np.arange(64)
+        pc = st_.machine.plan_cache
+        local_broadcast(st_, vals)
+        family_broadcast(st_, vals, np.ones(64, dtype=bool))
+        assert getattr(st_, "_virtual_reduce_plan", None) is None
+        assert "batched_virtual_reduce" not in {**pc.hits, **pc.misses}
+        assert (pc.misses["batched_virtual_bcast"], pc.hits["batched_virtual_bcast"]) == (1, 1)
+        local_reduce(st_, vals)
+        family_reduce(st_, vals, np.ones(64, dtype=bool))
+        assert (pc.misses["batched_virtual_reduce"], pc.hits["batched_virtual_reduce"]) == (1, 1)
+        assert (pc.misses["batched_virtual_bcast"], pc.hits["batched_virtual_bcast"]) == (1, 1)
+
     def test_tree_lazy_caches_are_consistent(self):
         t = prufer_random_tree(50, seed=2)
         s1 = t.subtree_sizes()

@@ -293,39 +293,77 @@ def test_send_batch_fuzz_equivalence(n, k, seed, with_dist, src_mult, dst_mult):
     assert_machines_agree(machines["scalar"], machines["batched"])
 
 
-@settings(max_examples=30, deadline=None)
+def _erew_round(rng, n: int, size: int):
+    """``size`` (at most ``n``) messages with distinct senders, distinct
+    receivers and ``src != dst``; the two sets overlap whenever the shift
+    is below ``size``, so processors both send and receive."""
+    perm = rng.permutation(n)
+    ids = np.arange(size) + int(rng.integers(0, n))
+    return perm[ids % n], perm[(ids + int(rng.integers(1, n))) % n], None
+
+
+def _occ_round(rng, n: int, size: int):
+    """Up to ``size`` (at most ``n``) messages with distinct receivers,
+    each sender at most twice, and each message's sender occurrence index."""
+    src = rng.permutation(np.repeat(np.arange(n), 2))[:size]
+    dst = rng.permutation(n)[:size]
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    occ = np.array([np.count_nonzero(src[:i] == s) for i, s in enumerate(src)], dtype=np.int64)
+    return src, dst, occ
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=40),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    exclusive=st.booleans(),
+    hinted=st.booleans(),
 )
-def test_send_plan_fuzz_equivalence(n, seed, exclusive):
+def test_send_plan_fuzz_equivalence(n, seed, hinted):
     """send_plan's trusted replay charges exactly like validated send_batch.
 
-    Rounds are built EREW (distinct senders, distinct receivers, src != dst)
-    so the same plan is legal with and without the ``exclusive`` hint.
+    An unhinted warm-up batch leaves non-zero clocks. Then each plan is
+    EREW (distinct senders, distinct receivers) or ``src_occ``-shaped
+    (distinct receivers, each sender at most twice), so the same plan is
+    legal with and without its hint. Rounds of 1 to 24 messages fall on
+    both sides of ``_SMALL_ROUND``, processors both send and receive, and
+    empty rounds sit among the others. After every call each machine's
+    depth is its largest clock: a kernel's reported max is exact.
     """
     rng = np.random.default_rng(seed)
-    segs = []
+    machines = {engine: SpatialMachine(n, engine=engine) for engine in ENGINES}
+
+    def check():
+        for m in machines.values():
+            assert m.depth == int(m.clock.max())
+        assert_machines_agree(machines["scalar"], machines["batched"])
+
+    k = int(rng.integers(1, 3 * n))
+    warm_src, warm_dst = rng.integers(0, n, size=k), rng.integers(0, n, size=k)
+    for m in machines.values():
+        m.send_batch(warm_src, warm_dst, rounds=[0, k // 2, k])
+    check()
     for _ in range(int(rng.integers(1, 5))):
-        size = int(rng.integers(1, max(2, n // 2 + 1)))
-        perm = rng.permutation(n)
-        s, d = perm[:size], perm[size : 2 * size]
-        if len(d) < size:
-            continue
-        segs.append((s.astype(np.int64), d.astype(np.int64)))
-    if not segs:
-        segs = [(np.array([0], dtype=np.int64), np.array([n - 1], dtype=np.int64))]
-    src = np.concatenate([s for s, _ in segs])
-    dst = np.concatenate([d for _, d in segs])
-    sizes = np.array([len(s) for s, _ in segs], dtype=np.int64)
-    rounds = np.concatenate([[0], np.cumsum(sizes)])
-    machines = {}
-    for engine in ENGINES:
-        m = SpatialMachine(n, engine=engine)
-        m.send_plan(src, dst, rounds=rounds, exclusive=exclusive)
-        machines[engine] = m
-    assert_machines_agree(machines["scalar"], machines["batched"])
+        occ_plan = bool(rng.integers(0, 2))
+        make = _occ_round if occ_plan else _erew_round
+        segs, sizes = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            if rng.random() < 0.3:
+                sizes.append(0)
+            segs.append(make(rng, n, int(rng.integers(1, min(24, n) + 1))))
+            sizes.append(len(segs[-1][0]))
+        if rng.random() < 0.3:
+            sizes.append(0)
+        src = np.concatenate([s for s, _, _ in segs]).astype(np.int64)
+        dst = np.concatenate([d for _, d, _ in segs]).astype(np.int64)
+        rounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        hints = {}
+        if hinted:
+            hints = ({"src_occ": np.concatenate([o for _, _, o in segs])} if occ_plan
+                     else {"exclusive": True})
+        for m in machines.values():
+            m.send_plan(src, dst, rounds=rounds, **hints)
+        check()
 
 
 # --------------------------------------------------------------------- #
