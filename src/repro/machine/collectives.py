@@ -151,6 +151,45 @@ def inclusive_scan(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.a
     return op(ex, values)
 
 
+def lift_through(
+    src: np.ndarray,
+    dst: np.ndarray,
+    rounds: np.ndarray,
+    after: np.ndarray,
+    occ: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``lift`` of ``rounds`` followed by rounds whose lift is ``after``.
+
+    A lift is what :meth:`~repro.machine.SpatialMachine.send_plan` charges
+    in closed form for rounds that end with every clock at one value:
+    ``lift[p]`` is the longest dependency path from processor ``p``'s entry
+    clock to that value, so the level is ``max(clock + lift)``. Clocks move
+    only by ``+1`` and ``max``, so one backward pass over the rounds gives
+    it. Each round must have distinct receivers; ``occ`` holds each
+    message's sender occurrence index (all zero, an EREW round, when
+    omitted). With ``L'`` the lift after the round, the round gives
+
+        L[p] = max(L'[p] + sends(p) + [p receives],
+                   max over p's messages m of occ[m] + 1 + L'[dst[m]]).
+
+    Only the lift's *path* is computed here: the caller asserts that the
+    rounds together with what ``after`` describes do end level.
+    """
+    lift = np.array(after, dtype=np.int64, copy=True)
+    bounds = rounds.tolist()
+    for a, b in zip(bounds[-2::-1], bounds[:0:-1]):
+        if b <= a:
+            continue
+        s, d = src[a:b], dst[a:b]
+        via = lift[d] + 1
+        if occ is not None:
+            via += occ[a:b]
+        lift[d] += 1
+        np.add.at(lift, s, 1)
+        np.maximum.at(lift, s, via)
+    return lift
+
+
 def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
     """The machine's cached all-reduce rounds: ``(src, dst, dist, rounds, lift)``.
 
@@ -159,12 +198,9 @@ def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
     and back, then the down-sweep — every round EREW and every message
     remote. Memoized under ``("barrier", n)`` with pre-gathered distances;
     the plan depends only on the placement, which the machine never
-    changes.
-
-    ``lift[i]``, the longest dependency path from processor ``i``'s entry
-    clock to the final maximum, comes from one backward pass: an EREW
-    round ``s -> d`` (sends before receives) adds one to ``lift[d]`` and
-    sets ``lift[s]`` to ``max(lift[s], old lift[d]) + 1``.
+    changes. ``lift`` comes from :func:`lift_through` seeded with zeros:
+    the last round leaves the all-reduce's final maximum, and the
+    equalization that follows raises every clock to it.
     """
     key = ("barrier", machine.n)
     plan = machine.plan_cache.lookup(key)
@@ -177,15 +213,42 @@ def _barrier_plan(machine: SpatialMachine) -> tuple[np.ndarray, ...]:
         hops = [*levels, (last, first), (first, last), *down]
         src = np.concatenate([s for s, _ in hops])
         dst = np.concatenate([d for _, d in hops])
-        rounds = np.concatenate([[0], np.cumsum([len(s) for s, _ in hops])])
-        lift = np.zeros(n, dtype=np.int64)
-        for s, d in reversed(hops):
-            g = lift[d]
-            lift[d] = g + 1
-            lift[s] = np.maximum(lift[s], g) + 1
-        plan = (src, dst, machine.manhattan(src, dst), rounds.astype(np.int64), lift)
+        rounds = np.concatenate([[0], np.cumsum([len(s) for s, _ in hops])]).astype(np.int64)
+        lift = lift_through(src, dst, rounds, np.zeros(n, dtype=np.int64))
+        plan = (src, dst, machine.manhattan(src, dst), rounds, lift)
         machine.plan_cache[key] = plan
     return cast("tuple[np.ndarray, ...]", plan)
+
+
+def barrier_after(
+    machine: SpatialMachine,
+    src: np.ndarray,
+    dst: np.ndarray,
+    rounds: np.ndarray,
+    occ: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Remote rounds followed by a barrier, as one plan that ends level.
+
+    Returns ``(src, dst, dist, rounds, occ, lift)`` for one
+    :meth:`~repro.machine.SpatialMachine.send_plan`: the given rounds (each
+    with distinct receivers, ``occ`` as in :func:`lift_through`), then the
+    cached barrier's. The barrier ends level on either engine, so the whole
+    plan does, and its lift is the barrier's carried back through the given
+    rounds alone.
+    """
+    bsrc, bdst, bdist, brounds, blift = _barrier_plan(machine)
+    k = len(src)
+    occ_all = np.zeros(k + len(bsrc), dtype=np.int64)
+    if occ is not None:
+        occ_all[:k] = occ
+    return (
+        np.concatenate([src, bsrc]),
+        np.concatenate([dst, bdst]),
+        np.concatenate([machine.manhattan(src, dst), bdist]),
+        np.concatenate([rounds, brounds[1:] + k]),
+        occ_all,
+        lift_through(src, dst, rounds, blift, occ),
+    )
 
 
 def barrier(machine: SpatialMachine) -> None:

@@ -16,11 +16,12 @@ Engine coverage: all three entry points route their bulk data movement
 through :meth:`~repro.machine.SpatialMachine.send_batch` /
 :meth:`~repro.machine.SpatialMachine.send_plan`, so under
 ``engine="batched"`` the Θ(n^{3/2}) sort/permute pipeline runs fully
-vectorized. Batcher's network depends only on ``(m, descending)`` (and the
-lane count ``n`` fixed by the machine), so :func:`sort_network_plan`
-precomputes its charged messages — real-lane endpoints, round offsets and
-pre-gathered distances — once per size as a :class:`SortNetworkPlan`, and
-:func:`charge_sort_network` sends it under either engine. The sort's
+vectorized. The messages of Batcher's network depend only on the lane
+count (a comparator's direction decides which key moves, not which
+processors talk), so :func:`sort_network_plan` precomputes them — real-lane
+endpoints, round offsets and pre-gathered distances — once per machine as
+a :class:`SortNetworkPlan`, and :func:`charge_sort_network` sends it under
+either engine for both directions. The sort's
 result comes from one stable host sort; the model charges messages, not
 host arithmetic. ``tests/test_sort_network.py`` checks the plan against an
 independent enumeration of the network's rounds.
@@ -82,32 +83,36 @@ def scatter(machine: SpatialMachine, src_ids: np.ndarray, dst_ids: np.ndarray,
 class SortNetworkPlan:
     """Precomputed charge of Batcher's bitonic network for one lane count.
 
-    The network's compare-exchange structure is a pure function of
-    ``(m, descending)``: round ``(k, j)`` pairs lane ``i`` with ``i ^ j``
-    and compares ascending iff bit ``k`` of the lower lane is clear. The
-    plan stores the network's messages: ``msg_src``/``msg_dst`` with
-    pre-gathered per-message distances ``msg_dist`` and CSR round offsets
-    ``msg_rounds``, two dependency rounds per network round (lower→upper,
-    then upper→lower), restricted to exchanges whose both lanes are real
-    processors (``< n``). A lane ``≥ n`` has no processor, so an exchange
-    that touches one charges nothing.
+    Round ``(k, j)`` of the network pairs lane ``i`` with ``i ^ j``; which
+    way a comparator orders its keys never changes who talks to whom, so
+    one plan serves both directions. The plan stores the network's
+    messages: ``msg_src``/``msg_dst`` with pre-gathered per-message
+    distances ``msg_dist`` and CSR round offsets ``msg_rounds``, two
+    dependency rounds per network round (lower→upper, then upper→lower),
+    restricted to exchanges whose both lanes are real processors
+    (``< n``). A lane ``≥ n`` has no processor, so an exchange that touches
+    one charges nothing.
 
     Each message round is EREW by construction (a lane sits in exactly one
     comparator per round), and consecutive rounds are mirrored pairs over
-    the same endpoints, so the batched engine replays the whole plan with
-    one :meth:`~repro.machine.SpatialMachine.send_plan` call whose paired
-    clock kernel fuses each lower→upper/upper→lower pair into a single
-    O(k) update.
+    the same endpoints: each pair leaves both partners at ``max + 2``. When
+    ``n == m`` every processor sits in every round and the last merge is a
+    full butterfly, so the network ends with every clock at
+    ``max(entry) + 2 · rounds``; ``lift`` then holds that uniform
+    ``2 · rounds`` and the batched engine charges the whole network in
+    closed form. Otherwise the network does not end level, ``lift`` is
+    ``None``, and the paired clock kernel fuses each mirrored pair into a
+    single O(k) update.
     """
 
     m: int
     n: int
-    descending: bool
     rounds: int
     msg_src: np.ndarray
     msg_dst: np.ndarray
     msg_dist: np.ndarray
     msg_rounds: np.ndarray
+    lift: np.ndarray | None
 
     @property
     def messages(self) -> int:
@@ -115,25 +120,25 @@ class SortNetworkPlan:
         return int(len(self.msg_src))
 
 
-def sort_network_plan(machine: SpatialMachine, *, descending: bool = False) -> SortNetworkPlan:
+def sort_network_plan(machine: SpatialMachine) -> SortNetworkPlan:
     """The machine's cached :class:`SortNetworkPlan` for its lane count.
 
     Built on first use and memoized in the machine's plan cache under
-    ``("sort_network", m, descending)`` — a second sort of the same size
-    (and direction) skips network construction entirely and replays the
-    cached structure. The cache survives :meth:`SpatialMachine.reset_costs`
+    ``("sort_network", m)`` — a second sort of the same size, in either
+    direction, skips network construction entirely and replays the cached
+    structure. The cache survives :meth:`SpatialMachine.reset_costs`
     (plans depend only on the placement, which reset keeps).
     """
     m = next_power_of_two(machine.n)
-    key = ("sort_network", m, descending)
+    key = ("sort_network", m)
     plan = machine.plan_cache.lookup(key)
     if plan is None:
-        plan = _build_sort_network_plan(machine, m, descending)
+        plan = _build_sort_network_plan(machine, m)
         machine.plan_cache[key] = plan
     return cast(SortNetworkPlan, plan)
 
 
-def _build_sort_network_plan(machine: SpatialMachine, m: int, descending: bool) -> SortNetworkPlan:
+def _build_sort_network_plan(machine: SpatialMachine, m: int) -> SortNetworkPlan:
     """Materialize the full round structure (see :class:`SortNetworkPlan`)."""
     n = machine.n
     i = np.arange(m, dtype=np.int64)
@@ -164,12 +169,12 @@ def _build_sort_network_plan(machine: SpatialMachine, m: int, descending: bool) 
     return SortNetworkPlan(
         m=m,
         n=n,
-        descending=descending,
         rounds=rounds,
         msg_src=np.concatenate(msg_src) if msg_src else empty,
         msg_dst=np.concatenate(msg_dst) if msg_dst else empty,
         msg_dist=np.concatenate(msg_dist) if msg_dist else empty,
         msg_rounds=np.concatenate([[0], np.cumsum(msg_sizes)]).astype(np.int64),
+        lift=np.full(n, 2 * rounds, dtype=np.int64) if n == m else None,
     )
 
 
@@ -178,14 +183,16 @@ def charge_sort_network(machine: SpatialMachine, *, descending: bool = False) ->
 
     Sends the machine's cached :class:`SortNetworkPlan` through one
     :meth:`~repro.machine.SpatialMachine.send_plan`: the batched engine
-    replays it with the paired clock kernel, the scalar engine falls back
-    to one validated :meth:`~repro.machine.SpatialMachine.send` per round.
-    The messages carry no payload, since accounting never depends on it.
-    The ``plan_ref`` lets a workload-plan recorder store this send as a
+    charges a power-of-two network through its ``lift`` and any other with
+    the paired clock kernel, the scalar engine falls back to one validated
+    :meth:`~repro.machine.SpatialMachine.send` per round. The messages
+    carry no payload, since accounting never depends on it. The
+    ``plan_ref`` lets a workload-plan recorder store this send as a
     reference into the plan cache instead of materializing the
-    Θ(n log² n)-message arrays into the artifact.
+    Θ(n log² n)-message arrays into the artifact; it still names the
+    direction, so stored references keep their format.
     """
-    plan = sort_network_plan(machine, descending=descending)
+    plan = sort_network_plan(machine)
     if plan.messages:
         machine.send_plan(
             plan.msg_src,
@@ -195,7 +202,8 @@ def charge_sort_network(machine: SpatialMachine, *, descending: bool = False) ->
             dist=plan.msg_dist,
             exclusive=True,
             paired=True,
-            plan_ref=("sort_network", plan.m, plan.descending),
+            lift=plan.lift,
+            plan_ref=("sort_network", plan.m, descending),
         )
     return plan
 

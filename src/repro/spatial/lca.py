@@ -12,7 +12,7 @@ O(log² n) depth** w.h.p., entirely with local messaging primitives:
    at a path head ``x``, with parent ``w``) broadcasts ``(w, r(w)\\r(x))``
    within its position range (Lemma 13); an endpoint in ``S`` whose partner
    lies in ``r(w)\\r(x)`` answers ``w``. A barrier (all-reduce) separates
-   layers.
+   layers; each layer's broadcast and barrier are charged as one plan.
 
 The ranges, the cover and step 4's message schedule depend only on the
 tree: :func:`prepare_lca` computes all three once, and every
@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.contracts import cost_contract
 from repro.errors import ValidationError
-from repro.machine.collectives import barrier
+from repro.machine.collectives import barrier, barrier_after
 from repro.spatial.subtree_cover import (
     RangeForest,
     SpatialCover,
@@ -71,10 +71,11 @@ class PreparedLCA:
     once, pays the ``lca_ranges``/``lca_cover`` energy once, and answers
     every later batch with only the per-layer sweeps. ``layers`` holds one
     :class:`LayerSweep` per cover layer, so a batch rebuilds nothing: each
-    layer is one trusted ``send_plan`` of its forest plus the machine's
-    cached barrier plan. The sweep stores processor ids only, never
-    distances, so a :class:`PreparedLCA` reused on another machine with
-    the same layout charges that machine's own distances.
+    layer is one trusted ``send_plan`` of its forest followed by the
+    barrier's rounds, memoized per machine (:func:`_layer_plan`). The sweep
+    stores processor ids only, never distances, so a :class:`PreparedLCA`
+    reused on another machine with the same layout charges that machine's
+    own distances.
     """
 
     ranges: SpatialRanges
@@ -120,8 +121,8 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
     ``prepared`` reuses a :func:`prepare_lca` precomputation, skipping the
     ranges/cover phases — the warm-serving path; omitted, the call runs
     :func:`prepare_lca` itself. Either way the sweep replays the compiled
-    layers: per layer, one ``send_plan`` of its broadcast forest (with the
-    ``src_occ`` hint) and one barrier.
+    layers: per layer, one barrier, preceded within the same ``send_plan``
+    by the layer's broadcast forest when it has one.
     """
     us = as_index_array(us, name="us")
     vs = as_index_array(vs, name="vs")
@@ -129,6 +130,9 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
         raise ValidationError("us and vs must have the same shape")
     check_in_range(us, 0, st.n, name="us")
     check_in_range(vs, 0, st.n, name="vs")
+    # a sweep compiled for this call alone is never replayed again, so
+    # only a caller's prepared sweep memoizes its layer plans
+    memo = prepared is not None
     if prepared is None:
         prepared = prepare_lca(st, seed=seed)
     ranges = prepared.ranges
@@ -147,24 +151,41 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
     open_q = np.flatnonzero(answers < 0)
     with machine.phase("lca_layers"):
         for sweep in prepared.layers:
+            if len(sweep.forest.src):
+                src, dst, dist, rounds, occ, lift = _layer_plan(machine, sweep.forest, memo)
+                machine.send_plan(src, dst, rounds=rounds, dist=dist, src_occ=occ, lift=lift)
+            else:
+                barrier(machine)
             if len(sweep.heads):
-                forest = sweep.forest
-                if len(forest.src):
-                    machine.send_plan(
-                        forest.src, forest.dst, rounds=forest.rounds, src_occ=forest.occ
-                    )
                 # resolve queries with exactly one endpoint inside a head's
                 # subtree whose partner falls in r(w) \ r(x)
                 open_q = _answer_layer(
                     answers, open_q, us, vs, sweep.heads, ranges, pos, parents
                 )
-            barrier(machine)
 
     if (answers < 0).any():  # pragma: no cover - Corollary 3 guarantees coverage
         raise ValidationError("internal: some queries were left unanswered")
     if return_cover:
         return answers, prepared.cover
     return answers
+
+
+def _layer_plan(machine, forest: RangeForest, memo: bool) -> tuple[np.ndarray, ...]:
+    """One cover layer's forest and barrier as one plan that ends level.
+
+    ``(src, dst, dist, rounds, occ, lift)`` from
+    :func:`~repro.machine.collectives.barrier_after`. With ``memo`` it is
+    stored in the machine's plan cache under ``("lca_layer", id(forest))``;
+    the entry holds the forest itself, so that id cannot name another
+    forest while the entry lives.
+    """
+    key = ("lca_layer", id(forest))
+    entry = machine.plan_cache.lookup(key) if memo else None
+    if entry is None:
+        entry = (forest, *barrier_after(machine, forest.src, forest.dst, forest.rounds, forest.occ))
+        if memo:
+            machine.plan_cache[key] = entry
+    return entry[1:]
 
 
 def _answer_layer(answers, open_q, us, vs, heads, ranges, pos, parents) -> np.ndarray:

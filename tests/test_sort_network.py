@@ -5,8 +5,9 @@
   exactly its real-lane pairs, its compare-exchange must sort, and one
   ``send`` per direction per round must bill exactly what ``bitonic_sort``
   bills on both engines.
-* Cache: the second same-size sort replays the stored plan without
-  rebuilding the network (pinned by monkeypatching the builder away).
+* Cache: the second same-size sort, in either direction, replays the
+  stored plan without rebuilding the network (pinned by monkeypatching
+  the builder away).
 * Round count: Batcher's network has exactly log2(m)·(log2(m)+1)/2
   compare-exchange rounds — the O(log² m) depth regression guard.
 * Virtual lanes: lane ids ≥ n never appear in charged messages; an
@@ -25,7 +26,7 @@ from repro.machine import (
     bitonic_sort,
     sort_network_plan,
 )
-from repro.machine.routing import _build_sort_network_plan
+from repro.machine.routing import _build_sort_network_plan, charge_sort_network
 from repro.spatial.layout_creation import create_light_first_layout
 from repro.trees import prufer_random_tree, star_tree
 from repro.utils import next_power_of_two
@@ -97,7 +98,7 @@ def run_network(keys: np.ndarray, descending: bool) -> tuple[np.ndarray, np.ndar
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 33, 70, 256])
 def test_plan_messages_are_the_enumerated_real_pairs(n, descending):
     machine = SpatialMachine(n, engine="batched")
-    plan = sort_network_plan(machine, descending=descending)
+    plan = charge_sort_network(machine, descending=descending)
     src, dst, sizes = [], [], []
     for lo, hi in real_pairs(plan.m, n):
         if len(lo):
@@ -156,7 +157,7 @@ def test_second_same_size_sort_skips_network_construction(monkeypatch):
     m = SpatialMachine(37, engine="batched")
     keys = np.arange(37, dtype=np.int64)[::-1].copy()
     bitonic_sort(m, keys)  # builds and caches the plan
-    assert ("sort_network", next_power_of_two(37), False) in m.plan_cache
+    assert ("sort_network", next_power_of_two(37)) in m.plan_cache
 
     def boom(*a, **k):  # pragma: no cover - must not be reached
         raise AssertionError("plan rebuilt despite cache")
@@ -166,13 +167,16 @@ def test_second_same_size_sort_skips_network_construction(monkeypatch):
     assert np.array_equal(out, np.arange(37))
 
 
-def test_plan_cache_is_per_direction_and_size():
+def test_plan_cache_is_per_lane_count():
+    """Both directions share one plan: an ascending sort then a descending
+    one on a fresh machine count one miss and one hit."""
     m = SpatialMachine(16, engine="batched")
-    asc = sort_network_plan(m)
-    desc = sort_network_plan(m, descending=True)
-    assert asc is not desc
-    assert sort_network_plan(m) is asc
-    assert sort_network_plan(m, descending=True) is desc
+    keys = np.random.default_rng(16).integers(0, 9, size=16)
+    bitonic_sort(m, keys)
+    bitonic_sort(m, keys, descending=True)
+    assert m.plan_cache.misses == {"sort_network": 1}
+    assert m.plan_cache.hits == {"sort_network": 1}
+    assert [key for key in m.plan_cache if key[0] == "sort_network"] == [("sort_network", 16)]
 
 
 def test_plan_cache_survives_reset_costs():
@@ -250,7 +254,7 @@ def test_plan_builder_matches_cached_plan():
     """sort_network_plan returns exactly what the builder constructs."""
     machine = SpatialMachine(21, engine="batched")
     plan = sort_network_plan(machine)
-    fresh = _build_sort_network_plan(machine, plan.m, False)
+    fresh = _build_sort_network_plan(machine, plan.m)
     for field in ("msg_src", "msg_dst", "msg_dist", "msg_rounds"):
         assert np.array_equal(getattr(plan, field), getattr(fresh, field))
 

@@ -1,10 +1,12 @@
 """Mutation battery for the divergence watchdog.
 
 Each mutant is a plausible bug in one clock kernel of
-:mod:`repro.machine.machine`, or in a caller's trusted hints to
-``send_plan``/``send_batch``. A kernel mutant is patched into every
-``repro`` module that bound the kernel — the machine's dispatch and the
-watchdog's own replay alike — exactly as a real bug would reach them.
+:mod:`repro.machine.machine`, in the backward pass that computes a
+plan's ``lift`` (:func:`repro.machine.collectives.lift_through`), or in a
+caller's trusted hints to ``send_plan``/``send_batch``. A kernel mutant
+is patched into every ``repro`` module that bound the kernel — the
+machine's dispatch and the watchdog's own replay alike — exactly as a
+real bug would reach them.
 Every workload then runs under ``DivergenceWatchdog(sample=1)`` on both
 engines, and wherever the mutant moved the live run's depth or energy away
 from the unmutated run, the watchdog must have raised an alert.
@@ -22,6 +24,7 @@ from collections.abc import Callable
 import numpy as np
 import pytest
 
+import repro.machine.collectives as collectives
 import repro.machine.machine as mm
 from repro.machine import SpatialMachine
 from repro.machine.instrumentation import StepLog
@@ -32,6 +35,8 @@ from repro.telemetry import DivergenceWatchdog
 from repro.trees import prufer_random_tree
 
 N = 512
+#: a sort on a machine that is not a power of two keeps the paired kernel
+N_ODD = 500
 SEED = 3
 ENGINES = ("scalar", "batched")
 
@@ -133,13 +138,24 @@ def _reference_fancy_add(clock, src, dst):
     )
 
 
-KERNEL_MUTANTS: dict[str, tuple[str, Callable]] = {
-    "small_receive_order": ("_advance_round_small", _small_arrival_order),
-    "exclusive_receive_slot": ("_advance_round_exclusive", _exclusive_no_receive_slot),
-    "occ_ignores_occurrence": ("_advance_round_occ", _occ_ignores_occurrence),
-    "paired_off_by_one": ("_advance_rounds_paired", _paired_off_by_one),
-    "general_late_receive": ("_advance_round", _general_late_receive),
-    "reference_fancy_add": ("advance_clocks", _reference_fancy_add),
+_LIFT_THROUGH = collectives.lift_through
+
+
+def _lift_ignores_occurrence(src, dst, rounds, after, occ=None):
+    """``lift_through`` treating every round as EREW: a sender's second
+    message is carried back as if it left in its first slot."""
+    return _LIFT_THROUGH(src, dst, rounds, after)
+
+
+#: mutant -> (module that defines the function, its name, the mutant)
+KERNEL_MUTANTS: dict[str, tuple[object, str, Callable]] = {
+    "small_receive_order": (mm, "_advance_round_small", _small_arrival_order),
+    "exclusive_receive_slot": (mm, "_advance_round_exclusive", _exclusive_no_receive_slot),
+    "occ_ignores_occurrence": (mm, "_advance_round_occ", _occ_ignores_occurrence),
+    "paired_off_by_one": (mm, "_advance_rounds_paired", _paired_off_by_one),
+    "general_late_receive": (mm, "_advance_round", _general_late_receive),
+    "reference_fancy_add": (mm, "advance_clocks", _reference_fancy_add),
+    "layer_lift_ignores_occurrence": (collectives, "lift_through", _lift_ignores_occurrence),
 }
 
 # --------------------------------------------------------------------- #
@@ -152,7 +168,9 @@ _SEND_BATCH = SpatialMachine.send_batch
 
 def _claims_exclusive(self, *args, **kwargs):
     """Every ``send_plan`` caller claims EREW rounds, even the virtual
-    broadcast relay and the LCA sweep, whose senders send twice."""
+    broadcast relay, whose senders send twice. (The LCA sweep's senders
+    send twice too, but its layers carry a ``lift``, which the batched
+    engine charges without a clock kernel.)"""
     kwargs["exclusive"] = True
     return _SEND_PLAN(self, *args, **kwargs)
 
@@ -167,9 +185,10 @@ def _dist_plus_one(original):
 
 
 def _lift_plus_one(self, *args, **kwargs):
-    """Every ``lift`` passed to ``send_plan`` one too large: a barrier
-    leaves every clock one tick late. The scalar engine only reads whether
-    ``lift`` is given, so its runs do not move."""
+    """Every ``lift`` passed to ``send_plan`` one too large: a barrier, an
+    LCA layer or a power-of-two sort network leaves every clock one tick
+    late. The scalar engine only reads whether ``lift`` is given, so its
+    runs do not move."""
     if kwargs.get("lift") is not None:
         kwargs["lift"] = kwargs["lift"] + 1
     return _SEND_PLAN(self, *args, **kwargs)
@@ -193,8 +212,8 @@ def apply_mutant(monkeypatch, name: str) -> None:
         for attr, fn in CALLER_MUTANTS[name].items():
             monkeypatch.setattr(SpatialMachine, attr, fn)
         return
-    kernel, fn = KERNEL_MUTANTS[name]
-    original = getattr(mm, kernel)
+    home, kernel, fn = KERNEL_MUTANTS[name]
+    original = getattr(home, kernel)
     for modname, module in list(sys.modules.items()):
         if modname.split(".")[0] == "repro" and getattr(module, kernel, None) is original:
             monkeypatch.setattr(module, kernel, fn)
@@ -227,10 +246,10 @@ def _lca(engine: str):
     return st.machine, wd
 
 
-def _sort(engine: str):
-    m = SpatialMachine(N, engine=engine)
+def _sort(engine: str, n: int):
+    m = SpatialMachine(n, engine=engine)
     wd = _watched(m)
-    keys = np.random.default_rng(SEED).integers(0, 1000, size=N).astype(np.int64)
+    keys = np.random.default_rng(SEED).integers(0, 1000, size=n).astype(np.int64)
     with m.phase("bitonic_sort"):
         bitonic_sort(m, keys)
     return m, wd
@@ -276,7 +295,8 @@ WORKLOADS: dict[str, Callable] = {
     "treefix_direct": lambda engine: _treefix(engine, "direct"),
     "treefix_virtual": lambda engine: _treefix(engine, "virtual"),
     "lca": _lca,
-    "bitonic_sort": _sort,
+    "bitonic_sort": lambda engine: _sort(engine, N),
+    "bitonic_sort_odd": lambda engine: _sort(engine, N_ODD),
     "layout_create": _layout,
     "mixed_phase": _mixed,
 }
@@ -331,13 +351,14 @@ def test_mutant_that_moves_the_run_raises_an_alert(mutant, workload, engine, mon
 WITNESS = {
     "small_receive_order": ("mixed_phase", "batched"),
     "exclusive_receive_slot": ("treefix_direct", "batched"),
-    "occ_ignores_occurrence": ("lca", "batched"),
-    "paired_off_by_one": ("bitonic_sort", "batched"),
+    "occ_ignores_occurrence": ("treefix_virtual", "batched"),
+    "paired_off_by_one": ("bitonic_sort_odd", "batched"),
     "general_late_receive": ("layout_create", "batched"),
     "reference_fancy_add": ("treefix_virtual", "scalar"),
     "send_plan_false_exclusive": ("treefix_virtual", "batched"),
     "dist_off_by_one": ("treefix_direct", "batched"),
     "barrier_lift_off_by_one": ("lca", "batched"),
+    "layer_lift_ignores_occurrence": ("lca", "batched"),
 }
 
 
