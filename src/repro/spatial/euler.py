@@ -30,7 +30,7 @@ from repro.errors import ValidationError
 from repro.machine.machine import SpatialMachine
 from repro.spatial.list_ranking import list_rank
 from repro.trees.tree import Tree, euler_succ
-from repro.utils import as_index_array, check_in_range
+from repro.utils import as_index_array
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ def euler_tour_list(tree: Tree, *, child_key: np.ndarray | None = None) -> Euler
     integers in ``[0, n]`` such as subtree sizes; ties keep vertex-id order)."""
     if tree.n < 2:
         raise ValidationError("an Euler tour needs at least one edge")
-    if child_key is not None:
-        child_key = as_index_array(child_key, name="child_key")
-        check_in_range(child_key, 0, tree.n + 1, name="child_key")
     succ, owner = euler_succ(tree, child_key)
     nonroot = np.flatnonzero(tree.parents >= 0)
     return EulerTourList(succ=succ, owner=owner, nonroot=nonroot)

@@ -15,38 +15,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trees.tree import Tree
-from repro.trees.traversal import _ordered_children
+from repro.trees.tree import Tree, chain_sums, check_child_key, euler_succ
 
 
 def euler_tour(tree: Tree, *, child_key: np.ndarray | None = None) -> np.ndarray:
     """The vertex-visit Euler tour, length ``2n - 1``.
 
-    ``child_key`` orders children the same way as in
-    :func:`repro.trees.traversal.dfs_preorder`.
+    ``child_key`` (shape ``(n,)``) orders children the same way as in
+    :func:`repro.trees.traversal.dfs_preorder`. The tour is read off the
+    directed-edge tour of :func:`euler_succ`: after the root, element ``e``
+    at tour index ``i`` (one :func:`chain_sums` of ones) contributes visit
+    ``i + 1`` — a down-edge enters its child, an up-edge returns to the
+    child's parent. Any key goes through its dense ranks, which keep its
+    order and its ties and lie in ``[0, n)`` as :func:`euler_succ` needs.
     """
-    children = _ordered_children(tree, child_key)
+    if child_key is not None:
+        child_key = np.unique(check_child_key(child_key, tree.n), return_inverse=True)[1]
+    succ, owner = euler_succ(tree, child_key)
     tour = np.empty(2 * tree.n - 1, dtype=np.int64)
-    i = 0
-    # frames: (vertex, next-child index); re-visit the vertex after each child
-    stack: list[list[int]] = [[tree.root, 0]]
-    tour[i] = tree.root
-    i += 1
-    while stack:
-        frame = stack[-1]
-        v, k = frame
-        kids = children[v]
-        if k < len(kids):
-            frame[1] += 1
-            c = int(kids[k])
-            tour[i] = c
-            i += 1
-            stack.append([c, 0])
-        else:
-            stack.pop()
-            if stack:
-                tour[i] = stack[-1][0]
-                i += 1
+    tour[0] = tree.root
+    at = 1 + len(succ) - chain_sums(succ, 1)
+    tour[at[0::2]] = owner[0::2]
+    tour[at[1::2]] = tree.parents[owner[1::2]]
     return tour
 
 

@@ -19,6 +19,13 @@ with children ``c_1 .. c_d`` ordered smallest-subtree-first,
 and each appended run is split the same way among its members (step 2).
 Lemma 8: if ``T`` is in light-first order then so is ``T̂`` — the virtual
 children of every vertex remain sorted by subtree size, verified in tests.
+
+Where a child lands depends only on its rank in its run and on the run's
+length, so :func:`transform_tree` splits every run of one halving level at
+once: level 0 splits every parent's child run, each later level every
+pending appended run. A run of ``d`` leaves runs of at most ``⌈d/2⌉ - 1``,
+so there are at most ``⌈log2 Δ⌉ + 1`` levels, each a few whole-array
+gathers.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trees.tree import Tree
-from repro.trees.traversal import _ordered_children
+from repro.trees.tree import Tree, check_child_key
 
 
 @dataclass(frozen=True)
@@ -86,68 +92,52 @@ class VirtualTree:
 def transform_tree(tree: Tree, *, child_key: np.ndarray | None = None) -> VirtualTree:
     """Apply the paper's ``TRANSFORM`` to ``tree``.
 
-    ``child_key`` gives the ordering of children used for the runs; the
-    default (None) orders by subtree size with ties by id — the light-first
-    order, which is what Lemma 8 requires. Passing a different key is
-    allowed for experimentation (the degree bound holds regardless; only the
-    light-first preservation depends on the key).
-    """
-    if child_key is None:
-        child_key = tree.subtree_sizes()
-    children = _ordered_children(tree, child_key)
+    ``child_key`` gives the ordering of children used for the runs (an
+    array of shape ``(n,)``, ascending, ties in id order); the default
+    (None) orders by subtree size — the light-first order, which is what
+    Lemma 8 requires. Passing a different key is allowed for
+    experimentation (the degree bound holds regardless; only the
+    light-first preservation depends on the key). Raises
+    :class:`ValidationError` when ``child_key`` has the wrong shape.
 
+    A run is an ``(owner, lo, hi)`` slice of the children sorted once by
+    (parent, key). Each level splits every pending run of ``m ≥ 1`` at
+    once: ``run[0]`` goes in the owner's slot 0 and, when ``m ≥ 2``,
+    ``run[m // 2]`` in slot 1; ``run[1 : m // 2]`` becomes ``run[0]``'s
+    appended run and ``run[m // 2 + 1 :]`` ``run[m // 2]``'s. Level 0
+    fills ``cur`` from every parent's child run, later levels fill ``app``;
+    there are at most ``⌈log2 Δ⌉ + 1`` levels.
+    """
     n = tree.n
+    key = tree.subtree_sizes() if child_key is None else check_child_key(child_key, n)
+    offsets, kids = tree.children_csr()
+    kids = kids[np.lexsort((key[kids], tree.parents[kids]))]
+
     cur = np.full((n, 2), -1, dtype=np.int64)
     app = np.full((n, 2), -1, dtype=np.int64)
     vparent = np.full(n, -1, dtype=np.int64)
     is_appended = np.zeros(n, dtype=bool)
 
-    def attach(parent: int, slot: np.ndarray, child: int, appended: bool) -> None:
-        if slot[0] < 0:
-            slot[0] = child
-        else:
-            slot[1] = child
-        vparent[child] = parent
-        is_appended[child] = appended
-
-    # Worklist of (vertex, appended-run) pairs: the run is a slice
-    # (owner, lo, hi) of children[owner] that this vertex must distribute
-    # among its appended children. Every vertex enters the worklist exactly
-    # once.
-    work: list[tuple[int, int, int, int]] = [(tree.root, tree.root, 0, 0)]
-    while work:
-        v, owner, lo, hi = work.pop()
-        # --- step 1: split the current children of v ---
-        kids = children[v]
-        d = len(kids)
-        if d:
-            if d <= 2:
-                for c in kids:
-                    attach(v, cur[v], int(c), appended=False)
-                    work.append((int(c), v, 0, 0))
-            else:
-                half = d // 2
-                c1 = int(kids[0])
-                cm = int(kids[half])
-                attach(v, cur[v], c1, appended=False)
-                attach(v, cur[v], cm, appended=False)
-                # run c_2..c_{half} goes under c1; run c_{half+2}..c_d under cm
-                work.append((c1, v, 1, half))
-                work.append((cm, v, half + 1, d))
-        # --- step 2: split the appended run assigned to v ---
-        run = children[owner][lo:hi]
-        dd = len(run)
-        if dd:
-            if dd <= 2:
-                for a in run:
-                    attach(v, app[v], int(a), appended=True)
-                    work.append((int(a), owner, 0, 0))
-            else:
-                half = dd // 2
-                a1 = int(run[0])
-                am = int(run[half])
-                attach(v, app[v], a1, appended=True)
-                attach(v, app[v], am, appended=True)
-                work.append((a1, owner, lo + 1, lo + half))
-                work.append((am, owner, lo + half + 1, hi))
+    # level 0: every parent's whole child run, into cur
+    owner = np.flatnonzero(np.diff(offsets))
+    lo, hi = offsets[owner], offsets[owner + 1]
+    slots, appended = cur, False
+    while len(owner):
+        mid = lo + (hi - lo) // 2
+        two = mid > lo
+        first, second = kids[lo], kids[mid[two]]
+        slots[owner, 0] = first
+        slots[owner[two], 1] = second
+        vparent[first] = owner
+        vparent[second] = owner[two]
+        is_appended[first] = appended
+        is_appended[second] = appended
+        # run[1 : m // 2] goes under run[0], run[m // 2 + 1 :] under run[m // 2]
+        left, right = mid > lo + 1, mid + 1 < hi
+        owner = np.concatenate([first[left], kids[mid[right]]])
+        lo, hi = (
+            np.concatenate([lo[left] + 1, mid[right] + 1]),
+            np.concatenate([mid[left], hi[right]]),
+        )
+        slots, appended = app, True
     return VirtualTree(tree=tree, cur=cur, app=app, vparent=vparent, is_appended=is_appended)

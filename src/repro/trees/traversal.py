@@ -4,9 +4,9 @@ These are the *reference* orders: the spatial layout code in
 :mod:`repro.layout` defines the paper's light-first order on top of them,
 and tests cross-check the spatial (on-machine) algorithms against them.
 The depth-first orders come from :meth:`Tree.preorder_positions` (pointer
-jumping, no per-vertex loop); ``_ordered_children`` is the per-vertex
-child sort that the sequential :func:`repro.trees.euler.euler_tour` and
-:func:`repro.trees.transform.transform_tree` walk.
+jumping, no per-vertex loop). It, :func:`repro.trees.euler.euler_tour` and
+:func:`repro.trees.transform.transform_tree` order children the same way:
+one stable sort of all children by (parent, key), not a sort per vertex.
 """
 
 from __future__ import annotations
@@ -14,18 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trees.tree import Tree
-
-
-def _ordered_children(tree: Tree, key: np.ndarray | None) -> list[np.ndarray]:
-    """Children of each vertex, optionally sorted by ``key`` (ascending, ties by id)."""
-    offsets, targets = tree.children_csr()
-    out = []
-    for v in range(tree.n):
-        kids = targets[offsets[v] : offsets[v + 1]]
-        if key is not None and len(kids) > 1:
-            kids = kids[np.argsort(key[kids], kind="stable")]
-        out.append(kids)
-    return out
 
 
 def dfs_preorder(tree: Tree, *, child_key: np.ndarray | None = None) -> np.ndarray:

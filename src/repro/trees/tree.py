@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import TreeStructureError, ValidationError
-from repro.utils import as_index_array
+from repro.utils import as_index_array, check_in_range
 
 
 def chain_sums(nxt: np.ndarray, w: np.ndarray | int) -> np.ndarray:
@@ -54,18 +54,32 @@ def chain_sums(nxt: np.ndarray, w: np.ndarray | int) -> np.ndarray:
     )
 
 
+def check_child_key(child_key, n: int) -> np.ndarray:
+    """``child_key`` as an array of shape ``(n,)``, one child-order key per
+    vertex; raises :class:`ValidationError` naming it otherwise."""
+    key = np.asarray(child_key)
+    if key.shape != (n,):
+        raise ValidationError(f"child_key must have shape ({n},), one entry per vertex, got {key.shape}")
+    return key
+
+
 def euler_succ(tree: Tree, child_sort_key: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Successor pointers of the Euler-tour edge list (paper §IV step 1).
 
     The tour has ``2(n-1)`` elements: for the ``j``-th non-root vertex (in
     id order) element ``2j`` is its down-edge and ``2j + 1`` its up-edge.
     Children are visited in id order, or ascending by ``child_sort_key``
-    (integers in ``[0, n]``, ties in id order). The tour starts at the
-    root's first down-edge and its last element's successor is ``-1``.
-    Returns ``(succ, owner)`` where ``owner[e]`` is the child endpoint of
-    element ``e`` (the vertex hosting it).
+    (integers of shape ``(n,)`` in ``[0, n]``, ties in id order; anything
+    else raises :class:`ValidationError` naming ``child_key``, since a key
+    outside the range would bleed into the next parent's group). The tour
+    starts at the root's first down-edge and its last element's successor
+    is ``-1``. Returns ``(succ, owner)`` where ``owner[e]`` is the child
+    endpoint of element ``e`` (the vertex hosting it).
     """
     n = tree.n
+    if child_sort_key is not None:
+        child_sort_key = as_index_array(check_child_key(child_sort_key, n), name="child_key")
+        check_in_range(child_sort_key, 0, n + 1, name="child_key")
     parents = tree.parents
     nonroot = np.flatnonzero(parents >= 0)
     e = np.full(n, -1, dtype=np.int64)
@@ -326,10 +340,10 @@ class Tree:
     def preorder_positions(self, child_key: np.ndarray | None = None) -> np.ndarray:
         """Position of every vertex in the depth-first preorder.
 
-        Children are visited ascending by ``child_key`` (ties in id order;
-        id order when None). Child ``c`` sits ``off(c) = 1 + Σ s(earlier
-        siblings)`` places after its parent, so its position is the sum of
-        ``off`` along its root path: one :func:`chain_sums`.
+        Children are visited ascending by ``child_key`` (shape ``(n,)``,
+        ties in id order; id order when None). Child ``c`` sits ``off(c) =
+        1 + Σ s(earlier siblings)`` places after its parent, so its position
+        is the sum of ``off`` along its root path: one :func:`chain_sums`.
         :func:`repro.trees.traversal.dfs_preorder` is the inverse
         permutation, the visit sequence.
         """
@@ -337,7 +351,7 @@ class Tree:
         offsets, kids = self.children_csr()
         gpar = self._parents[kids]
         if child_key is not None:
-            kids = kids[np.lexsort((np.asarray(child_key)[kids], gpar))]
+            kids = kids[np.lexsort((check_child_key(child_key, self.n)[kids], gpar))]
         sz = sizes[kids]
         before = np.cumsum(sz) - sz
         off = np.zeros(self.n, dtype=np.int64)

@@ -16,6 +16,8 @@ from repro.trees import (
     decision_tree_shape,
     dfs_postorder,
     dfs_preorder,
+    euler_succ,
+    euler_tour,
     path_tree,
     perfect_kary_tree,
     position_of,
@@ -24,6 +26,7 @@ from repro.trees import (
     random_attachment_tree,
     random_binary_tree,
     star_tree,
+    transform_tree,
 )
 from tests import tree_oracles as oracle
 from tests.conftest import TREE_ZOO
@@ -263,11 +266,11 @@ ORACLE_TREES = {
 
 
 @st.composite
-def labelled_parents(draw):
+def labelled_parents(draw, max_n=2000):
     """A parents array with random labels and a random root: vertex ``k`` of
     a random recursive tree picks its parent among the ``reach`` vertices
     made before it (1: a path, all: uniform attachment)."""
-    n = draw(st.integers(min_value=1, max_value=2000))
+    n = draw(st.integers(min_value=1, max_value=max_n))
     reach = draw(st.sampled_from([1, 2, 3, 8, n]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = np.arange(1, n)
@@ -387,3 +390,114 @@ class TestChainSums:
     def test_cycle_raises(self, nxt):
         with pytest.raises(TreeStructureError):
             chain_sums(np.array(nxt, dtype=np.int64), 1)
+
+
+# --------------------------------------------------------------------------- #
+# whole-array Euler tour and TRANSFORM against their loop oracles
+# --------------------------------------------------------------------------- #
+
+
+def child_keys(tree: Tree) -> dict:
+    """Child keys that exercise ordering and ties: none (each function's
+    default), ids ascending and reversed, subtree sizes, few-valued integers
+    (many ties), floats and negative floats."""
+    rng = np.random.default_rng(tree.n)
+    n = tree.n
+    return {
+        "default": None,
+        "ids": np.arange(n),
+        "reversed": np.arange(n)[::-1].copy(),
+        "sizes": oracle.subtree_sizes(tree),
+        "few-ints": rng.integers(0, 3, size=n),
+        "floats": rng.random(n),
+        "neg-floats": -3 * rng.random(n),
+    }
+
+
+def assert_transform_matches_oracle(tree: Tree, key) -> None:
+    vt = transform_tree(tree, child_key=key)
+    got = (vt.cur, vt.app, vt.vparent, vt.is_appended)
+    for name, g, w in zip(("cur", "app", "vparent", "is_appended"), got, oracle.transform_tree(tree, child_key=key)):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+
+
+SMALL_TRANSFORM_TREES = {
+    **{f"path{n}": (lambda n=n: path_tree(n)) for n in range(1, 7)},
+    **{f"star{n}": (lambda n=n: star_tree(n)) for n in range(1, 7)},
+    "star1025": lambda: star_tree(1025),
+    "caterpillar301": lambda: caterpillar_tree(301),
+}
+
+
+class TestTransformOracle:
+    @pytest.mark.parametrize("key", ["default", "ids", "reversed", "few-ints", "floats"])
+    def test_zoo_matches_worklist(self, zoo_tree, key):
+        assert_transform_matches_oracle(zoo_tree, child_keys(zoo_tree)[key])
+
+    @pytest.mark.parametrize("name", sorted(SMALL_TRANSFORM_TREES))
+    def test_paths_stars_caterpillar_match_worklist(self, name):
+        tree = SMALL_TRANSFORM_TREES[name]()
+        for key in child_keys(tree).values():
+            assert_transform_matches_oracle(tree, key)
+
+    @given(parents=labelled_parents(max_n=300), tied=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_labelled_trees_match_worklist(self, parents, tied):
+        tree = Tree(parents)
+        key = np.random.default_rng(len(parents)).integers(0, 3, size=tree.n) if tied else None
+        assert_transform_matches_oracle(tree, key)
+
+
+class TestEulerTourOracle:
+    @pytest.mark.parametrize("key", ["default", "sizes", "reversed", "few-ints", "floats", "neg-floats"])
+    def test_zoo_matches_stack_walk(self, zoo_tree, key):
+        k = child_keys(zoo_tree)[key]
+        got = euler_tour(zoo_tree, child_key=k)
+        want = oracle.euler_tour(zoo_tree, child_key=k)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @given(parents=labelled_parents(max_n=300))
+    @settings(max_examples=30, deadline=None)
+    def test_random_labelled_trees_match_stack_walk(self, parents):
+        tree = Tree(parents)
+        for key in (None, np.random.default_rng(len(parents)).integers(-2, 2, size=tree.n)):
+            assert np.array_equal(euler_tour(tree, child_key=key), oracle.euler_tour(tree, child_key=key))
+
+
+class TestChildKeyChecks:
+    """Every function that orders children by a key checks the key itself:
+    one entry per vertex, and for :func:`euler_succ` integers in [0, n]."""
+
+    TREE = np.array([-1, 0, 0, 1, 1])
+    WRONG_SHAPES = (np.arange(4), np.arange(6), np.zeros((5, 1), dtype=np.int64))
+
+    def test_euler_succ(self):
+        tree = Tree(self.TREE)
+        # a key above n bled into the next parent's group: a cyclic tour
+        for key in (np.array([0, 100, 0, 5, 1]), np.array([0, 1, 2, 3, -1]), *self.WRONG_SHAPES):
+            with pytest.raises(ValidationError, match="child_key"):
+                euler_succ(tree, key)
+        with pytest.raises(ValidationError, match="child_key"):
+            euler_succ(tree, np.array([0.0, 0.5, 1.0, 2.0, 3.0]))
+        succ, _ = euler_succ(tree, np.array([0, 5, 0, 5, 1]))
+        assert np.array_equal(succ, euler_succ(tree, np.array([0, 1, 0, 1, 0]))[0])
+
+    def test_euler_tour(self):
+        tree = Tree(self.TREE)
+        for key in self.WRONG_SHAPES:
+            with pytest.raises(ValidationError, match="child_key"):
+                euler_tour(tree, child_key=key)
+
+    def test_transform_tree(self):
+        tree = Tree(self.TREE)
+        for key in self.WRONG_SHAPES:
+            with pytest.raises(ValidationError, match="child_key"):
+                transform_tree(tree, child_key=key)
+
+    def test_preorder_positions(self):
+        tree = Tree(self.TREE)
+        for key in self.WRONG_SHAPES:
+            with pytest.raises(ValidationError, match="child_key"):
+                tree.preorder_positions(key)

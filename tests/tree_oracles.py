@@ -1,13 +1,14 @@
 """Per-vertex loop oracles for the tree substrate's pointer-jumping code.
 
 These are the original sequential implementations of the structures that
-:class:`repro.trees.Tree`, :mod:`repro.trees.traversal` and
-:func:`repro.trees.prufer_random_tree` now derive by pointer jumping: a BFS
-queue, leaf-to-root accumulation, explicit-stack depth-first searches, and
-the edge-list Prüfer decode through :meth:`Tree.from_edges`. They read only
-a tree's ``parents``, ``root`` and ``n`` (children come from
-:func:`children_csr` below, not from the tree's own cache), so they share
-no code with what they check.
+:class:`repro.trees.Tree`, :mod:`repro.trees.traversal`,
+:func:`repro.trees.prufer_random_tree`, :func:`repro.trees.euler_tour` and
+:func:`repro.trees.transform_tree` now derive in whole-array passes: a BFS
+queue, leaf-to-root accumulation, explicit-stack depth-first searches and
+Euler tour, the edge-list Prüfer decode through :meth:`Tree.from_edges`,
+and the TRANSFORM worklist. They read only a tree's ``parents``, ``root``
+and ``n`` (children come from :func:`children_csr` below, not from the
+tree's own cache), so they share no code with what they check.
 """
 
 from __future__ import annotations
@@ -115,6 +116,100 @@ def dfs_postorder(tree: Tree, *, child_key: np.ndarray | None = None) -> np.ndar
             for c in children[v][::-1]:
                 stack.append((int(c), False))
     return order
+
+
+def euler_tour(tree: Tree, *, child_key: np.ndarray | None = None) -> np.ndarray:
+    """The vertex-visit Euler tour (length ``2n - 1``) by an explicit stack."""
+    children = _ordered_children(tree, child_key)
+    tour = np.empty(2 * tree.n - 1, dtype=np.int64)
+    i = 0
+    # frames: (vertex, next-child index); re-visit the vertex after each child
+    stack: list[list[int]] = [[tree.root, 0]]
+    tour[i] = tree.root
+    i += 1
+    while stack:
+        frame = stack[-1]
+        v, k = frame
+        kids = children[v]
+        if k < len(kids):
+            frame[1] += 1
+            c = int(kids[k])
+            tour[i] = c
+            i += 1
+            stack.append([c, 0])
+        else:
+            stack.pop()
+            if stack:
+                tour[i] = stack[-1][0]
+                i += 1
+    return tour
+
+
+def transform_tree(
+    tree: Tree, *, child_key: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The §III-D TRANSFORM by a per-vertex worklist: ``(cur, app, vparent,
+    is_appended)`` with children ordered by ``child_key`` (default: subtree
+    sizes), ties by id."""
+    if child_key is None:
+        child_key = subtree_sizes(tree)
+    children = _ordered_children(tree, child_key)
+
+    n = tree.n
+    cur = np.full((n, 2), -1, dtype=np.int64)
+    app = np.full((n, 2), -1, dtype=np.int64)
+    vparent = np.full(n, -1, dtype=np.int64)
+    is_appended = np.zeros(n, dtype=bool)
+
+    def attach(parent: int, slot: np.ndarray, child: int, appended: bool) -> None:
+        if slot[0] < 0:
+            slot[0] = child
+        else:
+            slot[1] = child
+        vparent[child] = parent
+        is_appended[child] = appended
+
+    # Worklist of (vertex, appended-run) pairs: the run is a slice
+    # (owner, lo, hi) of children[owner] that this vertex must distribute
+    # among its appended children. Every vertex enters the worklist exactly
+    # once.
+    work: list[tuple[int, int, int, int]] = [(tree.root, tree.root, 0, 0)]
+    while work:
+        v, owner, lo, hi = work.pop()
+        # --- step 1: split the current children of v ---
+        kids = children[v]
+        d = len(kids)
+        if d:
+            if d <= 2:
+                for c in kids:
+                    attach(v, cur[v], int(c), appended=False)
+                    work.append((int(c), v, 0, 0))
+            else:
+                half = d // 2
+                c1 = int(kids[0])
+                cm = int(kids[half])
+                attach(v, cur[v], c1, appended=False)
+                attach(v, cur[v], cm, appended=False)
+                # run c_2..c_{half} goes under c1; run c_{half+2}..c_d under cm
+                work.append((c1, v, 1, half))
+                work.append((cm, v, half + 1, d))
+        # --- step 2: split the appended run assigned to v ---
+        run = children[owner][lo:hi]
+        dd = len(run)
+        if dd:
+            if dd <= 2:
+                for a in run:
+                    attach(v, app[v], int(a), appended=True)
+                    work.append((int(a), owner, 0, 0))
+            else:
+                half = dd // 2
+                a1 = int(run[0])
+                am = int(run[half])
+                attach(v, app[v], a1, appended=True)
+                attach(v, app[v], am, appended=True)
+                work.append((a1, owner, lo + 1, lo + half))
+                work.append((am, owner, lo + half + 1, hi))
+    return cur, app, vparent, is_appended
 
 
 def prufer_random_tree(n: int, *, seed=None, root: int = 0) -> Tree:
